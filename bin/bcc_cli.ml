@@ -470,12 +470,21 @@ let cmd =
       Cmd.Env.info "BCC_DOMAINS"
         ~doc:
           "Number of domains (cores) used by the parallel Monte-Carlo trial \
-           loops; experiment tables are byte-identical for every value \
-           (defaults to the machine's recommended domain count, capped at 8; \
-           see docs/PARALLELISM.md).";
+           loops, an integer in [1, 64]; experiment tables are byte-identical \
+           for every value (defaults to the machine's recommended domain \
+           count, capped at 8; see docs/PARALLELISM.md).";
+      Cmd.Env.info "BCC_E31_N"
+        ~doc:
+          "Vertex count of experiment e31, an integer in [4096, 1000000] \
+           (default 1000000, which needs ~16 GB).";
     ]
   in
-  let info = Cmd.info "bcc_cli" ~doc ~envs in
+  let exits =
+    Cmd.Exit.info Env_knob.exit_code
+      ~doc:"when an environment variable above is not an integer in its range."
+    :: Cmd.Exit.defaults
+  in
+  let info = Cmd.info "bcc_cli" ~doc ~envs ~exits in
   Cmd.group ~default:run_term info
     [ run_cmd; trace_cmd; metrics_cmd; kern_cmd; prof_cmd; lint_cmd ]
 
@@ -498,5 +507,14 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "lint" then
     lint_exec
       (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
+
+(* Every environment knob is validated here, before any command runs: a
+   bad value is a one-line message and a documented exit status, never
+   an uncaught exception deep inside an experiment. *)
+let () =
+  try Env_knob.check_all ()
+  with Env_knob.Invalid msg ->
+    prerr_endline ("bcc_cli: " ^ msg);
+    exit Env_knob.exit_code
 
 let () = exit (Cmd.eval ~argv cmd)

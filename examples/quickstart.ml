@@ -21,7 +21,11 @@ let parity_count_protocol : int Bcast.protocol =
         let odd = ref 0 in
         {
           Bcast.send = (fun ~round:_ -> Bitvec.popcount input land 1);
-          receive = (fun ~round:_ messages -> Array.iter (fun v -> odd := !odd + v) messages);
+          receive =
+            (fun ~round board ->
+              for sender = 0 to Bcast.Board.n board - 1 do
+                odd := !odd + Bcast.Board.get board ~round ~sender
+              done);
           finish = (fun () -> !odd);
         });
   }

@@ -159,9 +159,11 @@ module Rand_counter = struct
     float_of_int v /. float_of_int (1 lsl bernoulli_bits) < p
 end
 
+module Board = Board
+
 type 'out processor = {
   send : round:int -> int;
-  receive : round:int -> int array -> unit;
+  receive : round:int -> Board.t -> unit;
   finish : unit -> 'out;
 }
 
@@ -218,6 +220,8 @@ let run_with_sources proto ~inputs ~sources =
     Array.init n (fun id -> proto.spawn ~id ~n ~input:inputs.(id) ~rand:sources.(id))
   in
   let transcript = ref (Transcript.empty ~msg_bits:proto.msg_bits) in
+  let store = Board.create ~n ~msg_bits:proto.msg_bits in
+  let board = Board.view store in
   let turn = ref 0 in
   for round = 0 to proto.rounds - 1 do
     if traced then Trace.emit ~scope (Trace.Round_start { round; n });
@@ -231,7 +235,8 @@ let run_with_sources proto ~inputs ~sources =
           Transcript.append !transcript { Transcript.turn = !turn; round; sender; value };
         incr turn)
       messages;
-    Array.iter (fun p -> p.receive ~round messages) procs;
+    Board.append store messages;
+    Array.iter (fun p -> p.receive ~round board) procs;
     if traced then
       Trace.emit ~scope (Trace.Round_end { round; n; msg_bits = proto.msg_bits })
   done;
@@ -316,9 +321,11 @@ let sequential p1 p2 =
               if round < p1.rounds then a.send ~round
               else b.send ~round:(round - p1.rounds));
           receive =
-            (fun ~round messages ->
-              if round < p1.rounds then a.receive ~round messages
-              else b.receive ~round:(round - p1.rounds) messages);
+            (fun ~round board ->
+              if round < p1.rounds then
+                a.receive ~round (Board.truncate board ~rounds:p1.rounds)
+              else
+                b.receive ~round:(round - p1.rounds) (Board.shift board ~rounds:p1.rounds));
           finish = (fun () -> (a.finish (), b.finish ()));
         });
   }
@@ -334,7 +341,6 @@ let parallel_pair p1 p2 =
       (fun ~id ~n ~input ~rand ->
         let a = p1.spawn ~id ~n ~input ~rand in
         let b = p2.spawn ~id ~n ~input ~rand in
-        let mask1 = (1 lsl b1) - 1 in
         {
           send =
             (fun ~round ->
@@ -342,11 +348,15 @@ let parallel_pair p1 p2 =
               let vb = if round < p2.rounds then b.send ~round else 0 in
               va lor (vb lsl b1));
           receive =
-            (fun ~round messages ->
+            (fun ~round board ->
               if round < p1.rounds then
-                a.receive ~round (Array.map (fun v -> v land mask1) messages);
+                a.receive ~round
+                  (Board.truncate (Board.lane board ~pos:0 ~width:b1) ~rounds:p1.rounds);
               if round < p2.rounds then
-                b.receive ~round (Array.map (fun v -> v lsr b1) messages));
+                b.receive ~round
+                  (Board.truncate
+                     (Board.lane board ~pos:b1 ~width:p2.msg_bits)
+                     ~rounds:p2.rounds));
           finish = (fun () -> (a.finish (), b.finish ()));
         });
   }

@@ -69,12 +69,20 @@ module Rand_counter : sig
       threshold comparison); the implementation asserts the charge. *)
 end
 
+module Board = Board
+(** The run's broadcast board: what every processor may see. *)
+
 type 'out processor = {
   send : round:int -> int;
   (** The message to broadcast this round (must fit in [msg_bits]).
       Called exactly once per round, before {!receive} for that round. *)
-  receive : round:int -> int array -> unit;
-  (** All [n] messages of the round, indexed by sender. *)
+  receive : round:int -> Board.t -> unit;
+  (** Called once per round after every processor has sent.  The board
+      holds every round so far, this one included (round [round] is its
+      last); it is the same board for every processor and it is
+      read-only.  A processor may keep it and read it again in later
+      [send]s and in [finish]: it then shows the rounds completed so
+      far, never the one being sent. *)
   finish : unit -> 'out;
   (** The processor's final output, after the last round. *)
 }
@@ -100,6 +108,13 @@ val run : 'out protocol -> inputs:Bitvec.t array -> rand:Prng.t -> 'out result
 (** Executes the protocol synchronously.  [inputs] has length [n]; each
     processor's randomness source is split deterministically from [rand]. *)
 
+val run_with_sources :
+  'out protocol -> inputs:Bitvec.t array -> sources:Rand_counter.t array -> 'out result
+(** Like {!run} with explicit randomness sources, one per processor (for
+    example {!Rand_counter.of_tape} tapes).  The runner owns the run's
+    {!Board}: it appends each round once and hands it to every
+    [receive]. *)
+
 val run_deterministic : 'out protocol -> inputs:Bitvec.t array -> 'out result
 (** Like {!run} but processors get a {!Rand_counter.deterministic} source. *)
 
@@ -118,10 +133,13 @@ val sequential : 'a protocol -> 'b protocol -> ('a * 'b) protocol
 (** Run the first protocol's rounds, then the second's, on the same
     inputs; outputs are paired.  The phases are independent (the second
     protocol cannot read the first's conclusions — for data-dependent
-    chaining write a single protocol).  [msg_bits] must agree. *)
+    chaining write a single protocol): the first sees the board
+    truncated to its rounds, the second the board shifted past them.
+    [msg_bits] must agree. *)
 
 val parallel_pair : 'a protocol -> 'b protocol -> ('a * 'b) protocol
 (** Run both protocols simultaneously by packing their messages side by
     side: [msg_bits = b1 + b2], [rounds = max r1 r2] (a finished
-    protocol's lane carries zeros).  Models the standard
+    protocol's lane carries zeros).  Each side sees only its own lane of
+    the board, truncated to its own rounds.  Models the standard
     bandwidth-for-rounds tradeoff. *)

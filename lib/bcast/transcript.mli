@@ -17,14 +17,16 @@ val empty : msg_bits:int -> t
 val msg_bits : t -> int
 
 val append : t -> entry -> t
-(** Functional append (persistent; cheap prefix sharing). *)
+(** Functional append: [t] itself is unchanged.  Amortised O(1) when [t]
+    is the newest transcript grown from its {!empty}; appending to an
+    older one (or a {!prefix}) first copies its entries. *)
 
 val length : t -> int
 val entries : t -> entry list
 (** In chronological order. *)
 
 val entry : t -> int -> entry
-(** [entry t i]: the [i]-th broadcast (0-based). *)
+(** [entry t i]: the [i]-th broadcast (0-based), in O(1). *)
 
 val messages_of_round : t -> int -> (int * int) list
 (** [(sender, value)] pairs of the given round, chronological. *)
@@ -41,6 +43,6 @@ val key : t -> string
     with the same message width. *)
 
 val prefix : t -> int -> t
-(** First [i] broadcasts. *)
+(** First [i] broadcasts, in O(1). *)
 
 val pp : Format.formatter -> t -> unit

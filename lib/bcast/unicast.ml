@@ -104,9 +104,17 @@ let lift_broadcast (bp : 'out Bcast.protocol) =
     spawn =
       (fun ~id ~n ~input ~rand ->
         let p = bp.Bcast.spawn ~id ~n ~input ~rand in
+        (* A unicast run has no shared board, so each lifted processor
+           keeps its own, built from its inbox (identical at every
+           recipient, since every sender's outbox repeats one value). *)
+        let store = Board.create ~n ~msg_bits:bp.Bcast.msg_bits in
+        let board = Board.view store in
         {
           send = (fun ~round -> Array.make n (p.Bcast.send ~round));
-          receive = (fun ~round inbox -> p.Bcast.receive ~round inbox);
+          receive =
+            (fun ~round inbox ->
+              Board.append store inbox;
+              p.Bcast.receive ~round board);
           finish = p.Bcast.finish;
         });
   }

@@ -1443,14 +1443,7 @@ let e31_million_vertex ?(seed = 42) () =
      smaller n.  The sharded sampler and the recovery pipeline are the
      same code at every n, so the byte-identity check binds just as hard
      at the reduced size; the artifact records which n it measured. *)
-  let n =
-    match Sys.getenv_opt "BCC_E31_N" with
-    | None | Some "" -> 1_000_000
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v when v >= 4096 -> v
-        | _ -> invalid_arg "BCC_E31_N: expected an integer >= 4096")
-  in
+  let n = Option.value (Env_knob.e31_n ()) ~default:1_000_000 in
   let p = 1.0 /. Float.sqrt (foi n) in
   (* k = 16 n^{1/4} keeps the margin scale-free: expected clique degree
      (k-1)(1-p) + p(n-1) clears the null max degree pn + sqrt(2pn ln n)

@@ -47,9 +47,10 @@ let params_of s = s.p
 let add s i =
   if i < 0 || i >= s.p.universe then invalid_arg "Agm_sketch.add: coordinate out of range";
   let top = min (top_level s.p i) (s.nlevels - 1) in
+  let chk = checksum s.p i in
   for l = 0 to top do
     s.xor_ids.(l) <- s.xor_ids.(l) lxor (i + 1);
-    s.xor_chks.(l) <- s.xor_chks.(l) lxor checksum s.p i
+    s.xor_chks.(l) <- s.xor_chks.(l) lxor chk
   done
 
 let xor_inplace dst src =

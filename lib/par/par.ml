@@ -109,20 +109,11 @@ let run_job pool f =
 (* bcc-lint: allow par/global-mutable — written only by set_domain_count on the submitting domain, never from worker lanes *)
 let configured : int option ref = ref None
 
-let env_domains () =
-  match Sys.getenv_opt "BCC_DOMAINS" with
-  | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v -> Some (clamp 1 64 v)
-      | None ->
-          invalid_arg (Printf.sprintf "BCC_DOMAINS: not an integer: %S" s))
-
 let domain_count () =
   match !configured with
   | Some d -> d
   | None -> (
-      match env_domains () with
+      match Env_knob.domains () with
       | Some d -> d
       | None -> clamp 1 8 (Domain.recommended_domain_count ()))
 

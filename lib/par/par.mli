@@ -18,9 +18,11 @@
     {2 Domain count}
 
     The pool size is, in decreasing priority: the value given to
-    {!set_domain_count}; the [BCC_DOMAINS] environment variable;
-    [Domain.recommended_domain_count ()] capped at 8.  Size 1 means no
-    domains are ever spawned and all combinators degrade to plain loops.
+    {!set_domain_count}; the [BCC_DOMAINS] environment variable
+    ({!Env_knob.domains}: an integer in [1, 64], anything else raises
+    {!Env_knob.Invalid}); [Domain.recommended_domain_count ()] capped at
+    8.  Size 1 means no domains are ever spawned and all combinators
+    degrade to plain loops.
 
     {2 Observability caveats}
 

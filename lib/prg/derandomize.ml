@@ -33,9 +33,12 @@ let transform p proto =
               if round < prg_rounds then prg_proc.Bcast.send ~round
               else (get_inner ()).Bcast.send ~round:(round - prg_rounds));
           receive =
-            (fun ~round messages ->
-              if round < prg_rounds then prg_proc.Bcast.receive ~round messages
-              else (get_inner ()).Bcast.receive ~round:(round - prg_rounds) messages);
+            (fun ~round board ->
+              if round < prg_rounds then
+                prg_proc.Bcast.receive ~round (Bcast.Board.truncate board ~rounds:prg_rounds)
+              else
+                (get_inner ()).Bcast.receive ~round:(round - prg_rounds)
+                  (Bcast.Board.shift board ~rounds:prg_rounds));
           finish = (fun () -> (get_inner ()).Bcast.finish ());
         });
   }

@@ -55,14 +55,33 @@ let construction_rounds_wide p ~msg_bits =
   if msg_bits < 1 || msg_bits > 30 then invalid_arg "Full_prg: msg_bits in [1,30]";
   (secret_bit_count p + (p.n * msg_bits) - 1) / (p.n * msg_bits)
 
-let construction_protocol_wide p ~msg_bits =
-  validate p;
-  let rounds = construction_rounds_wide p ~msg_bits in
+(* The secret [M] every processor reads off the board: bit [b] of
+   sender [s]'s round-[r] message fills position [((r n + s) b_w) + b] of
+   [M], row-major, for a [b_w]-bit broadcast; beyond [k (m - k)] the
+   stream is padding.  A pure function of the board, so one run builds
+   it once ({!Bcast.Board.common}) and every processor expands its own
+   seed against it. *)
+let secret_of_board p ~msg_bits board =
+  let n = Bcast.Board.n board in
   let total = secret_bit_count p in
   let cols = p.m - p.k in
-  (* Position owned by (round, sender, bit-in-message): the flattened
-     broadcast stream fills M row-major, exactly as the 1-bit version. *)
-  let position ~round ~n ~sender ~b = (((round * n) + sender) * msg_bits) + b in
+  let secret = Gf2_matrix.create ~rows:p.k ~cols in
+  for round = 0 to Bcast.Board.length board - 1 do
+    for sender = 0 to n - 1 do
+      let value = Bcast.Board.get board ~round ~sender in
+      for b = 0 to msg_bits - 1 do
+        let pos = (((round * n) + sender) * msg_bits) + b in
+        if pos < total then
+          Gf2_matrix.set secret (pos / cols) (pos mod cols) ((value lsr b) land 1 = 1)
+      done
+    done
+  done;
+  secret
+
+let construction_protocol_wide p ~msg_bits =
+  let rounds = construction_rounds_wide p ~msg_bits in
+  let total = secret_bit_count p in
+  let secret_key = Bcast.Board.key "full-prg.secret" in
   {
     Bcast.name =
       Printf.sprintf "full-prg-construction-wide(n=%d,k=%d,m=%d,b=%d)" p.n p.k p.m msg_bits;
@@ -71,59 +90,30 @@ let construction_protocol_wide p ~msg_bits =
     spawn =
       (fun ~id ~n ~input:_ ~rand ->
         let x = Bcast.Rand_counter.bitvec rand p.k in
-        let secret = Gf2_matrix.create ~rows:p.k ~cols in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits) in
         {
           Bcast.send =
             (fun ~round ->
+              (* Processor [id] owns bits [((round n + id) msg_bits) + b]
+                 of the row-major secret; beyond [total] it pads with
+                 zeros. *)
               let v = ref 0 in
               for b = 0 to msg_bits - 1 do
-                if position ~round ~n ~sender:id ~b < total then
+                if (((round * n) + id) * msg_bits) + b < total then
                   if Bcast.Rand_counter.bool rand then v := !v lor (1 lsl b)
               done;
               !v);
-          receive =
-            (fun ~round messages ->
-              Array.iteri
-                (fun sender value ->
-                  for b = 0 to msg_bits - 1 do
-                    let pos = position ~round ~n ~sender ~b in
-                    if pos < total then
-                      Gf2_matrix.set secret (pos / cols) (pos mod cols)
-                        ((value lsr b) land 1 = 1)
-                  done)
-                messages);
-          finish = (fun () -> expand secret x);
+          receive = (fun ~round:_ b -> board := b);
+          finish =
+            (fun () ->
+              expand (Bcast.Board.common !board secret_key (secret_of_board p ~msg_bits)) x);
         });
   }
 
 let construction_protocol p =
   validate p;
-  let rounds = construction_rounds p in
-  let total = secret_bit_count p in
-  let cols = p.m - p.k in
+  let proto = construction_protocol_wide p ~msg_bits:1 in
   {
+    proto with
     Bcast.name = Printf.sprintf "full-prg-construction(n=%d,k=%d,m=%d)" p.n p.k p.m;
-    msg_bits = 1;
-    rounds;
-    spawn =
-      (fun ~id ~n ~input:_ ~rand ->
-        let x = Bcast.Rand_counter.bitvec rand p.k in
-        let secret = Gf2_matrix.create ~rows:p.k ~cols in
-        {
-          Bcast.send =
-            (fun ~round ->
-              (* Processor [id] owns position [round * n + id] of the
-                 row-major secret; beyond [total] it pads with zeros. *)
-              let pos = (round * n) + id in
-              if pos < total then if Bcast.Rand_counter.bool rand then 1 else 0 else 0);
-          receive =
-            (fun ~round messages ->
-              Array.iteri
-                (fun sender value ->
-                  let pos = (round * n) + sender in
-                  if pos < total then
-                    Gf2_matrix.set secret (pos / cols) (pos mod cols) (value = 1))
-                messages);
-          finish = (fun () -> expand secret x);
-        });
   }

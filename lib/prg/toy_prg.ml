@@ -23,13 +23,22 @@ let construction_protocol ~k =
         (* The private seed [x]; drawn up front so the bit accounting shows
            exactly k bits plus the contributed shares. *)
         let x = Bcast.Rand_counter.bitvec rand k in
-        let b = Bitvec.create k in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
         {
           Bcast.send =
             (fun ~round ->
               if round mod n = id then if Bcast.Rand_counter.bool rand then 1 else 0
               else 0);
-          receive = (fun ~round messages -> Bitvec.set b round (messages.(round mod n) = 1));
-          finish = (fun () -> extend ~x ~b);
+          receive = (fun ~round:_ bd -> board := bd);
+          finish =
+            (fun () ->
+              (* Bit [r] of the public [b] is the share processor [r mod n]
+                 broadcast in round [r]. *)
+              let b = Bitvec.create k in
+              for r = 0 to min k (Bcast.Board.length !board) - 1 do
+                if Bcast.Board.get !board ~round:r ~sender:(r mod n) = 1 then
+                  Bitvec.set b r true
+              done;
+              extend ~x ~b);
         });
   }

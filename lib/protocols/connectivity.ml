@@ -11,10 +11,10 @@ let sketch_params cfg ~phase ~copy =
   { Agm_sketch.universe = cfg.n * cfg.n;
     seed = cfg.seed + (phase * 1009) + (copy * 131) }
 
-let phase_bits cfg =
-  (* All copies of one phase, concatenated (same bit size for every
-     phase/copy pair: the universe is fixed). *)
-  cfg.copies * Agm_sketch.bit_size (sketch_params cfg ~phase:0 ~copy:0)
+(* Bits of one sketch (the same for every phase/copy pair: the universe
+   is fixed).  A phase broadcasts all copies back to back. *)
+let sketch_bits cfg = Agm_sketch.bit_size (sketch_params cfg ~phase:0 ~copy:0)
+let phase_bits cfg = cfg.copies * sketch_bits cfg
 
 let rounds_per_phase cfg = (phase_bits cfg + cfg.msg_bits - 1) / cfg.msg_bits
 
@@ -22,15 +22,14 @@ let rounds cfg = cfg.phases * rounds_per_phase cfg
 
 let edge_id n u v = (min u v * n) + max u v
 
-(* Sketches of processor [id]'s incidence vector for one phase. *)
+(* Sketches of processor [id]'s incidence vector for one phase, one
+   encoded copy per element; bit [pos] of the phase is bit [pos mod sz]
+   of copy [pos / sz]. *)
 let my_phase_bits cfg ~id ~input ~phase =
-  let pieces =
-    List.init cfg.copies (fun copy ->
-        let s = Agm_sketch.create (sketch_params cfg ~phase ~copy) in
-        Bitvec.iter_set (fun u -> if u <> id then Agm_sketch.add s (edge_id cfg.n id u)) input;
-        Agm_sketch.to_bitvec s)
-  in
-  List.fold_left Bitvec.concat (Bitvec.create 0) pieces
+  Array.init cfg.copies (fun copy ->
+      let s = Agm_sketch.create (sketch_params cfg ~phase ~copy) in
+      Bitvec.iter_set (fun u -> if u <> id then Agm_sketch.add s (edge_id cfg.n id u)) input;
+      Agm_sketch.to_bitvec s)
 
 (* Shared union-find, identical at every processor. *)
 let uf_find parent v =
@@ -41,18 +40,8 @@ let uf_union parent a b =
   let ra = uf_find parent a and rb = uf_find parent b in
   if ra <> rb then parent.(min ra rb) <- max ra rb
 
-(* One Boruvka step from everyone's phase sketches. *)
-let merge_step cfg ~phase ~parent ~all_bits =
-  let sz = Agm_sketch.bit_size (sketch_params cfg ~phase ~copy:0) in
-  (* Decode per-processor, per-copy sketches. *)
-  let sketches =
-    Array.map
-      (fun bits ->
-        Array.init cfg.copies (fun copy ->
-            Agm_sketch.of_bitvec (sketch_params cfg ~phase ~copy)
-              (Bitvec.sub bits ~pos:(copy * sz) ~len:sz)))
-      all_bits
-  in
+(* One Boruvka step from everyone's phase sketches ([sketches.(v).(copy)]). *)
+let merge_step cfg ~phase ~parent ~sketches =
   (* Current components. *)
   let roots = Hashtbl.create 16 in
   for v = 0 to cfg.n - 1 do
@@ -90,11 +79,40 @@ let component_count parent =
   done;
   Hashtbl.length distinct
 
+(* The component count every processor reaches from the board: one
+   Boruvka step per fully broadcast phase, each decoding every sender's
+   sketches from the phase's [per_phase] rounds. *)
+let components cfg board =
+  let per_phase = rounds_per_phase cfg in
+  let sz = sketch_bits cfg in
+  let parent = Array.init cfg.n (fun v -> v) in
+  for phase = 0 to (Bcast.Board.length board / per_phase) - 1 do
+    let sketches =
+      Array.init cfg.n (fun sender ->
+          let msgs =
+            Array.init per_phase (fun chunk ->
+                Bcast.Board.get board ~round:((phase * per_phase) + chunk) ~sender)
+          in
+          Array.init cfg.copies (fun copy ->
+              let bits = Bitvec.create sz in
+              for q = 0 to sz - 1 do
+                let pos = (copy * sz) + q in
+                if (msgs.(pos / cfg.msg_bits) lsr (pos mod cfg.msg_bits)) land 1 = 1 then
+                  Bitvec.set bits q true
+              done;
+              Agm_sketch.of_bitvec (sketch_params cfg ~phase ~copy) bits))
+    in
+    merge_step cfg ~phase ~parent ~sketches
+  done;
+  component_count parent
+
 let protocol cfg =
   if cfg.msg_bits < 1 || cfg.msg_bits > 30 then
     invalid_arg "Connectivity: msg_bits in [1,30]";
   let per_phase = rounds_per_phase cfg in
   let pbits = phase_bits cfg in
+  let sz = sketch_bits cfg in
+  let key = Bcast.Board.key "connectivity.components" in
   {
     Bcast.name = Printf.sprintf "connectivity-agm(n=%d)" cfg.n;
     msg_bits = cfg.msg_bits;
@@ -102,10 +120,8 @@ let protocol cfg =
     spawn =
       (fun ~id ~n:n' ~input ~rand:_ ->
         if n' <> cfg.n then invalid_arg "Connectivity: processor count mismatch";
-        let parent = Array.init cfg.n (fun v -> v) in
-        (* Incoming phase buffers, one per sender. *)
-        let buffers = Array.init cfg.n (fun _ -> Bitvec.create pbits) in
-        let mine = ref (Bitvec.create 0) in
+        let board = ref (Bcast.Board.empty ~n:cfg.n ~msg_bits:cfg.msg_bits) in
+        let mine = ref [||] in
         {
           Bcast.send =
             (fun ~round ->
@@ -114,23 +130,12 @@ let protocol cfg =
               let v = ref 0 in
               for b = 0 to cfg.msg_bits - 1 do
                 let pos = (chunk * cfg.msg_bits) + b in
-                if pos < pbits && Bitvec.get !mine pos then v := !v lor (1 lsl b)
+                if pos < pbits && Bitvec.get !mine.(pos / sz) (pos mod sz) then
+                  v := !v lor (1 lsl b)
               done;
               !v);
-          receive =
-            (fun ~round messages ->
-              let phase = round / per_phase and chunk = round mod per_phase in
-              Array.iteri
-                (fun sender msg ->
-                  for b = 0 to cfg.msg_bits - 1 do
-                    let pos = (chunk * cfg.msg_bits) + b in
-                    if pos < pbits then
-                      Bitvec.set buffers.(sender) pos ((msg lsr b) land 1 = 1)
-                  done)
-                messages;
-              if chunk = per_phase - 1 then
-                merge_step cfg ~phase ~parent ~all_bits:buffers);
-          finish = (fun () -> component_count parent);
+          receive = (fun ~round:_ b -> board := b);
+          finish = (fun () -> Bcast.Board.common !board key (components cfg));
         });
   }
 

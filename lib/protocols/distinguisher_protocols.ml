@@ -6,19 +6,18 @@ type degree_summary = {
 
 let degree_protocol ~n =
   let w = Bcast.msg_bits_for_log_n (max 2 n) in
-  (* All n processors receive the {e same physical} broadcast array and
-     compute the same summary from it; memoize one summary per broadcast,
-     keyed by physical equality of that array.  The protocol value is
-     shared across [Par] trial domains, so the cell is an [Atomic]: a
-     lost race merely recomputes the (identical, pure) summary — the
-     memo can degrade, never change an output. *)
-  let memo : (int array * degree_summary) option Atomic.t = Atomic.make None in
-  let summarize degrees =
-    let floats = Array.map float_of_int degrees in
+  let key = Bcast.Board.key "degree-summary" in
+  (* Everyone summarises the same broadcast degrees: once per run.  A
+     board with no rounds reads as all-zero degrees. *)
+  let summarize board =
+    let degrees =
+      if Bcast.Board.length board = 0 then Array.make n 0
+      else Array.init n (fun sender -> Bcast.Board.get board ~round:0 ~sender)
+    in
     {
       max_total_degree = Array.fold_left max 0 degrees;
       total_edges = Array.fold_left ( + ) 0 degrees;
-      degree_variance = Stats.variance floats;
+      degree_variance = Stats.variance (Array.map float_of_int degrees);
     }
   in
   {
@@ -28,64 +27,38 @@ let degree_protocol ~n =
     spawn =
       (fun ~id:_ ~n:n' ~input ~rand:_ ->
         if n' <> n then invalid_arg "Distinguisher_protocols: processor count mismatch";
-        let received = ref [||] in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:w) in
         {
           Bcast.send = (fun ~round:_ -> Bitvec.popcount input);
-          receive = (fun ~round:_ messages -> received := messages);
-          finish =
-            (fun () ->
-              (* Fallback to zeros if finish ever runs before a receive,
-                 matching the pre-memo per-processor zero buffer. *)
-              let degrees =
-                if Array.length !received = n then !received else Array.make n 0
-              in
-              match Atomic.get memo with
-              | Some (key, s) when key == degrees -> s
-              | _ ->
-                  let s = summarize degrees in
-                  Atomic.set memo (Some (degrees, s));
-                  s);
+          receive = (fun ~round:_ b -> board := b);
+          finish = (fun () -> Bcast.Board.common !board key summarize);
         });
   }
-
-(* Cache effectiveness counters for the sampled-clique structural cache;
-   lookup and insert are separate critical sections, so two domains can
-   both miss on the same key — the split is telemetry, not part of any
-   deterministic payload. *)
-let m_hits = lazy (Metrics.counter "sampled_clique_cache_hits_total")
-let m_misses = lazy (Metrics.counter "sampled_clique_cache_misses_total")
-let m_verify_fails = lazy (Metrics.counter "sampled_clique_cache_verify_fails_total")
-
-let count_lookup ~hit ~verify_fail =
-  if Metrics.collecting () then begin
-    Metrics.inc (Lazy.force (if hit then m_hits else m_misses));
-    if verify_fail then Metrics.inc (Lazy.force m_verify_fails)
-  end;
-  if Prof.enabled () then begin
-    Prof.add (if hit then Prof.Cache_hits else Prof.Cache_misses) 1;
-    if verify_fail then Prof.add Prof.Cache_verify_fails 1
-  end
 
 let sampled_clique_protocol ~n ~sample_size =
   if sample_size < 1 || sample_size > n then
     invalid_arg "Distinguisher_protocols.sampled_clique_protocol: bad sample size";
   let w = Bcast.msg_bits_for_log_n (max 2 n) in
   let rounds = (sample_size + w - 1) / w in
-  (* Everyone computes the same induced-subgraph max clique; share the
-     Bron-Kerbosch run across processors of one protocol value.  The cache
-     outlives a single [Bcast.run], so parallel trial loops (Par) can hit
-     it from several domains — guard it.  Keys are an FNV-1a fold over the
-     packed row words instead of an O(s^2) string rendering; entries keep
-     the rows and are verified structurally on lookup, so a collision can
-     never change hit/miss behavior. *)
-  let cache : (int, (Bitvec.t array * int) list) Hashtbl.t = Hashtbl.create 4 in
-  let cache_guard = Mutex.create () in
-  let rows_key rows =
-    Array.fold_left
-      (fun acc r -> (acc lxor Bitvec.hash r) * 0x01000193 land max_int)
-      0x811c9dc5 rows
+  let key = Bcast.Board.key "sampled-clique" in
+  (* Everyone computes the same induced-subgraph max clique: once per
+     run.  Row [i] is sampled processor [i]'s adjacency into the sample,
+     [w] bits per round. *)
+  let clique_size board =
+    let sub = Digraph.create sample_size in
+    for i = 0 to sample_size - 1 do
+      let row = Bitvec.create sample_size in
+      for round = 0 to Bcast.Board.length board - 1 do
+        let v = Bcast.Board.get board ~round ~sender:i in
+        for b = 0 to w - 1 do
+          let j = (round * w) + b in
+          if j < sample_size && (v lsr b) land 1 = 1 then Bitvec.set row j true
+        done
+      done;
+      Digraph.install_out_row sub i row
+    done;
+    List.length (Clique.max_clique sub)
   in
-  let rows_equal a b = Array.length a = Array.length b && Array.for_all2 Bitvec.equal a b in
   {
     Bcast.name = Printf.sprintf "sampled-clique(n=%d,s=%d)" n sample_size;
     msg_bits = w;
@@ -93,8 +66,7 @@ let sampled_clique_protocol ~n ~sample_size =
     spawn =
       (fun ~id ~n:n' ~input ~rand:_ ->
         if n' <> n then invalid_arg "Distinguisher_protocols: processor count mismatch";
-        (* rows.(i) = adjacency of sampled processor i into the sample. *)
-        let rows = Array.init sample_size (fun _ -> Bitvec.create sample_size) in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:w) in
         {
           Bcast.send =
             (fun ~round ->
@@ -109,39 +81,8 @@ let sampled_clique_protocol ~n ~sample_size =
                 done;
                 !v
               end);
-          receive =
-            (fun ~round messages ->
-              for i = 0 to sample_size - 1 do
-                for b = 0 to w - 1 do
-                  let j = (round * w) + b in
-                  if j < sample_size then
-                    Bitvec.set rows.(i) j ((messages.(i) lsr b) land 1 = 1)
-                done
-              done);
-          finish =
-            (fun () ->
-              let key = rows_key rows in
-              let cached, verify_fail =
-                Mutex.lock cache_guard;
-                let bucket = Option.value ~default:[] (Hashtbl.find_opt cache key) in
-                let v = List.find_opt (fun (r, _) -> rows_equal r rows) bucket in
-                Mutex.unlock cache_guard;
-                (v, v = None && bucket <> [])
-              in
-              match cached with
-              | Some (_, size) ->
-                  count_lookup ~hit:true ~verify_fail:false;
-                  size
-              | None ->
-                  count_lookup ~hit:false ~verify_fail;
-                  let sub = Digraph.create sample_size in
-                  Array.iteri (fun i r -> Digraph.set_out_row sub i r) rows;
-                  let size = List.length (Clique.max_clique sub) in
-                  Mutex.lock cache_guard;
-                  let bucket = Option.value ~default:[] (Hashtbl.find_opt cache key) in
-                  Hashtbl.replace cache key ((rows, size) :: bucket);
-                  Mutex.unlock cache_guard;
-                  size);
+          receive = (fun ~round:_ b -> board := b);
+          finish = (fun () -> Bcast.Board.common !board key clique_size);
         });
   }
 

@@ -2,19 +2,22 @@ let all_equal inputs =
   Array.for_all (fun x -> Bitvec.equal x inputs.(0)) inputs
 
 let deterministic_protocol ~m =
+  let key = Bcast.Board.key "equality.rows" in
   {
     Bcast.name = Printf.sprintf "equality-deterministic(m=%d)" m;
     msg_bits = 1;
     rounds = m;
     spawn =
       (fun ~id:_ ~n ~input ~rand:_ ->
-        let rows = Array.init n (fun _ -> Bitvec.create m) in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive =
-            (fun ~round messages ->
-              Array.iteri (fun i v -> Bitvec.set rows.(i) round (v = 1)) messages);
-          finish = (fun () -> all_equal rows);
+          receive = (fun ~round:_ b -> board := b);
+          finish =
+            (fun () ->
+              (* Everyone's broadcast rows agree: one check per run. *)
+              Bcast.Board.common !board key (fun b ->
+                  all_equal (Array.init n (fun sender -> Bcast.Board.sender_bits b ~sender))));
         });
   }
 
@@ -36,14 +39,25 @@ let fingerprint_public_coin ~n ~m ~repetitions =
 
 let fingerprint_protocol ~m ~repetitions =
   let coin_rounds = repetitions * m in
+  let coins_key = Bcast.Board.key "equality.coins" in
   {
     Bcast.name = Printf.sprintf "equality-fingerprint-bcast(m=%d,c=%d)" m repetitions;
     msg_bits = 1;
     rounds = coin_rounds + repetitions;
     spawn =
       (fun ~id ~n ~input ~rand ->
-        let coins = Bitvec.create coin_rounds in
-        let fingerprints = Array.make (n * repetitions) false in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
+        (* Processor 0's published coins: common knowledge once the coin
+           rounds are on the board. *)
+        let coins () =
+          let coin_board = Bcast.Board.truncate !board ~rounds:coin_rounds in
+          Bcast.Board.common coin_board coins_key (fun b ->
+              let c = Bitvec.create coin_rounds in
+              for r = 0 to Bcast.Board.length b - 1 do
+                if Bcast.Board.get b ~round:r ~sender:0 = 1 then Bitvec.set c r true
+              done;
+              c)
+        in
         {
           Bcast.send =
             (fun ~round ->
@@ -52,23 +66,19 @@ let fingerprint_protocol ~m ~repetitions =
                 if id = 0 then if Bcast.Rand_counter.bool rand then 1 else 0 else 0
               else begin
                 let rep = round - coin_rounds in
-                let r = Bitvec.sub coins ~pos:(rep * m) ~len:m in
+                let r = Bitvec.sub (coins ()) ~pos:(rep * m) ~len:m in
                 if Bitvec.dot input r then 1 else 0
               end);
-          receive =
-            (fun ~round messages ->
-              if round < coin_rounds then Bitvec.set coins round (messages.(0) = 1)
-              else begin
-                let rep = round - coin_rounds in
-                Array.iteri (fun i v -> fingerprints.((rep * n) + i) <- v = 1) messages
-              end);
+          receive = (fun ~round:_ b -> board := b);
           finish =
             (fun () ->
+              (* Every fingerprint round is unanimous. *)
+              let b = !board in
               let ok = ref true in
-              for rep = 0 to repetitions - 1 do
+              for round = coin_rounds to Bcast.Board.length b - 1 do
                 for i = 1 to n - 1 do
-                  if fingerprints.((rep * n) + i) <> fingerprints.(rep * n) then
-                    ok := false
+                  if Bcast.Board.get b ~round ~sender:i <> Bcast.Board.get b ~round ~sender:0
+                  then ok := false
                 done
               done;
               !ok);

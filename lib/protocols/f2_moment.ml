@@ -24,19 +24,26 @@ let protocol cfg =
     msg_bits = w;
     rounds = cfg.repetitions;
     spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+      (fun ~id:_ ~n ~input ~rand:_ ->
         if Bitvec.length input <> cfg.d then
           invalid_arg "F2_moment: input length must equal the universe size";
-        let sum_of_squares = ref 0.0 in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:w) in
         {
           Bcast.send = (fun ~round -> local_sum cfg ~rep:round ~input + cfg.d);
-          receive =
-            (fun ~round:_ messages ->
-              let z =
-                Array.fold_left (fun acc v -> acc + v - cfg.d) 0 messages
-              in
-              sum_of_squares := !sum_of_squares +. (float_of_int z ** 2.0));
-          finish = (fun () -> !sum_of_squares /. float_of_int cfg.repetitions);
+          receive = (fun ~round:_ b -> board := b);
+          finish =
+            (fun () ->
+              (* Each round's signed total z, squared and averaged. *)
+              let b = !board in
+              let sum_of_squares = ref 0.0 in
+              for round = 0 to Bcast.Board.length b - 1 do
+                let z = ref 0 in
+                for sender = 0 to n - 1 do
+                  z := !z + Bcast.Board.get b ~round ~sender - cfg.d
+                done;
+                sum_of_squares := !sum_of_squares +. (float_of_int !z ** 2.0)
+              done;
+              !sum_of_squares /. float_of_int cfg.repetitions);
         });
   }
 

@@ -17,6 +17,7 @@ let prob_full_given_independent ~n ~c =
 let column_protocol ~name ~n ~k ~rounds ~decide =
   if k < 1 || k > n then invalid_arg "Full_rank: need 1 <= k <= n";
   if rounds < 1 || rounds > k then invalid_arg "Full_rank: need 1 <= rounds <= k";
+  let key = Bcast.Board.key name in
   {
     Bcast.name;
     msg_bits = 1;
@@ -24,16 +25,23 @@ let column_protocol ~name ~n ~k ~rounds ~decide =
     spawn =
       (fun ~id ~n:n' ~input ~rand:_ ->
         if n' <> n then invalid_arg "Full_rank: processor count mismatch";
-        let observed = Gf2_matrix.create ~rows:k ~cols:rounds in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
         {
           Bcast.send =
             (fun ~round -> if id < k && Bitvec.get input round then 1 else 0);
-          receive =
-            (fun ~round messages ->
-              for i = 0 to k - 1 do
-                Gf2_matrix.set observed i round (messages.(i) = 1)
-              done);
-          finish = (fun () -> decide observed);
+          receive = (fun ~round:_ b -> board := b);
+          finish =
+            (fun () ->
+              (* The observed k x rounds block: everyone decides the same. *)
+              Bcast.Board.common !board key (fun b ->
+                  let observed = Gf2_matrix.create ~rows:k ~cols:rounds in
+                  for round = 0 to min rounds (Bcast.Board.length b) - 1 do
+                    for i = 0 to k - 1 do
+                      if Bcast.Board.get b ~round ~sender:i = 1 then
+                        Gf2_matrix.set observed i round true
+                    done
+                  done;
+                  decide observed));
         });
   }
 

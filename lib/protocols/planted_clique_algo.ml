@@ -24,100 +24,38 @@ let expected_success_probability ~n ~k =
   let too_few_clique = Stats.chernoff_lower ~mean:(p *. kf) ~delta:0.5 in
   Float.max 0.0 (1.0 -. too_many -. too_few_clique)
 
-(* All processors compute the same maximum clique from common knowledge; a
-   cache keyed by the broadcast data avoids n identical Bron-Kerbosch runs
-   in the simulator.  The key is a cheap FNV-1a fold over the active list
-   and the packed words of each edge column (Bitvec.hash) — O(|actives| +
-   n·|actives|/64) instead of the O(n·|actives|) string rendering this
-   replaces.  Entries carry the full broadcast data and are verified
-   structurally on lookup, so a hash collision can never change hit/miss
-   behavior. *)
-type cache_entry = {
-  e_actives : int list;
-  e_edges : Bitvec.t list;
-  e_clique : int list;
-}
-
-type shared_cache = (int, cache_entry list) Hashtbl.t
-
-let fnv_prime = 0x01000193
-
-let cache_key ~actives ~edges =
-  let h =
-    List.fold_left
-      (fun acc a -> (acc lxor a) * fnv_prime land max_int)
-      0x811c9dc5 actives
-  in
-  List.fold_left
-    (fun acc col -> (acc lxor Bitvec.hash col) * fnv_prime land max_int)
-    h edges
-
-let entry_matches ~actives ~edges e =
-  List.equal Int.equal e.e_actives actives && List.equal Bitvec.equal e.e_edges edges
-
-(* Cache effectiveness counters, registered lazily so the names only
-   appear in snapshots once the cache has actually run. *)
-let m_hits = lazy (Metrics.counter "planted_clique_cache_hits_total")
-let m_misses = lazy (Metrics.counter "planted_clique_cache_misses_total")
-let m_verify_fails = lazy (Metrics.counter "planted_clique_cache_verify_fails_total")
-
-let count_lookup ~hit ~verify_fail =
-  if Metrics.collecting () then begin
-    Metrics.inc (Lazy.force (if hit then m_hits else m_misses));
-    if verify_fail then Metrics.inc (Lazy.force m_verify_fails)
-  end;
-  if Prof.enabled () then begin
-    Prof.add (if hit then Prof.Cache_hits else Prof.Cache_misses) 1;
-    if verify_fail then Prof.add Prof.Cache_verify_fails 1
-  end
-
-let compute_active_clique cache ~actives ~edges =
-  let key = cache_key ~actives ~edges in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt cache key) in
-  match List.find_opt (entry_matches ~actives ~edges) bucket with
-  | Some e ->
-      count_lookup ~hit:true ~verify_fail:false;
-      e.e_clique
-  | None ->
-      count_lookup ~hit:false ~verify_fail:(bucket <> []);
-      (* [edges] has one column per active vertex: element [r] is every
-         processor's adjacency bit to the r-th active vertex.  Build the
-         induced directed subgraph on the active set. *)
-      let active_arr = Array.of_list actives in
-      let na = Array.length active_arr in
-      let cols = Array.of_list edges in
-      let sub = Digraph.create na in
-      for ai = 0 to na - 1 do
-        for aj = 0 to na - 1 do
-          if ai <> aj && Bitvec.get cols.(aj) active_arr.(ai) then
-            Digraph.add_edge sub ai aj
-        done
-      done;
-      let local = Clique.max_clique sub in
-      let c = List.sort Int.compare (List.map (fun i -> active_arr.(i)) local) in
-      Hashtbl.replace cache key
-        ({ e_actives = actives; e_edges = edges; e_clique = c } :: bucket);
-      c
+(* The maximum clique of the subgraph induced on the active set, as
+   every processor computes it from the board: round 0 names the active
+   vertices, and edge round [r + 1] is the column of everyone's adjacency
+   bits to the [r]-th of them. *)
+let active_clique ~actives board =
+  let na = Array.length actives in
+  let cols = Array.init na (fun r -> Bcast.Board.round_bits board ~round:(r + 1)) in
+  let sub = Digraph.create na in
+  for ai = 0 to na - 1 do
+    for aj = 0 to na - 1 do
+      if ai <> aj && Bitvec.get cols.(aj) actives.(ai) then Digraph.add_edge sub ai aj
+    done
+  done;
+  List.sort Int.compare (List.map (fun i -> actives.(i)) (Clique.max_clique sub))
 
 let protocol ~n ~k =
   let p = activation_probability ~n ~k in
   let cap = active_cap ~n ~k in
   let rounds = round_budget ~n ~k in
-  let cache : shared_cache = Hashtbl.create 4 in
-  (* Every processor packs the {e same physical} broadcast array into the
-     same edge column each round; memoize one column per broadcast array
-     (physical-equality key — a fresh array arrives each round, so no
-     round can alias another).  [Atomic] for the same reason as the
-     degree-summary memo: protocol values may be shared across trial
-     domains, and a lost race only recomputes an identical pure value. *)
-  let col_memo : (int array * Bitvec.t) option Atomic.t = Atomic.make None in
-  let column_of messages =
-    match Atomic.get col_memo with
-    | Some (key, col) when key == messages -> col
-    | _ ->
-        let col = Bitvec.of_bool_array (Array.map (fun v -> v = 1) messages) in
-        Atomic.set col_memo (Some (messages, col));
-        col
+  let actives_key = Bcast.Board.key "planted-clique.actives" in
+  let clique_key = Bcast.Board.key "planted-clique.clique" in
+  (* Common knowledge, computed once per run: the active vertices in
+     increasing order (round 0 only), and the active clique (rounds 0 to
+     [cap]: the activity round and the edge rounds). *)
+  let actives board =
+    Bcast.Board.common (Bcast.Board.truncate board ~rounds:1) actives_key (fun b ->
+        if Bcast.Board.length b = 0 then [||]
+        else Array.of_list (Bitvec.indices_set (Bcast.Board.round_bits b ~round:0)))
+  in
+  let clique board =
+    Bcast.Board.common (Bcast.Board.truncate board ~rounds:(cap + 1)) clique_key (fun b ->
+        active_clique ~actives:(actives b) b)
   in
   {
     Bcast.name = Printf.sprintf "planted-clique-B1(n=%d,k=%d)" n k;
@@ -127,14 +65,11 @@ let protocol ~n ~k =
       (fun ~id ~n:n' ~input ~rand ->
         if n' <> n then invalid_arg "Planted_clique_algo: processor count mismatch";
         let active = ref false in
-        (* Active vertices in increasing order, fixed after round 0. *)
-        let actives_arr = ref [||] in
-        let aborted = ref false in
-        (* Column r: everyone's adjacency bit to the r-th active vertex. *)
-        let edge_cols = ref [] in
-        let claimed = ref [] in
-        let active_count () = Array.length !actives_arr in
-        let actives_sorted () = Array.to_list !actives_arr in
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
+        (* This processor's handle on the shared active list, set after
+           round 0. *)
+        let acts = ref [||] in
+        let aborted () = Array.length !acts > cap in
         {
           Bcast.send =
             (fun ~round ->
@@ -142,20 +77,18 @@ let protocol ~n ~k =
                 active := Bcast.Rand_counter.bernoulli rand p;
                 if !active then 1 else 0
               end
-              else if !aborted then 0
+              else if aborted () then 0
               else if round <= cap then begin
                 (* Edge round r = round - 1: adjacency to the r-th active
                    vertex (0 when out of range or inactive). *)
                 let r = round - 1 in
-                if (not !active) || r >= active_count () then 0
-                else if Bitvec.get input !actives_arr.(r) then 1
+                if (not !active) || r >= Array.length !acts then 0
+                else if Bitvec.get input !acts.(r) then 1
                 else 0
               end
               else begin
                 (* Membership claim round. *)
-                let acts = actives_sorted () in
-                let edges = List.rev !edge_cols in
-                let c_active = compute_active_clique cache ~actives:acts ~edges in
+                let c_active = clique !board in
                 let sz = List.length c_active in
                 if float_of_int sz < clique_size_threshold n then 0
                 else begin
@@ -169,33 +102,21 @@ let protocol ~n ~k =
                 end
               end);
           receive =
-            (fun ~round messages ->
-              if round = 0 then begin
-                let acc = ref [] in
-                for i = n - 1 downto 0 do
-                  if messages.(i) = 1 then acc := i :: !acc
-                done;
-                actives_arr := Array.of_list !acc;
-                if active_count () > cap then aborted := true
-              end
-              else if !aborted then ()
-              else if round <= cap then begin
-                let r = round - 1 in
-                if r < active_count () then
-                  edge_cols := column_of messages :: !edge_cols
-              end
-              else
-                Array.iteri (fun i v -> if v = 1 then claimed := i :: !claimed) messages);
+            (fun ~round b ->
+              board := b;
+              if round = 0 then acts := actives b);
           finish =
             (fun () ->
-              if !aborted then Aborted_too_many_active
+              if aborted () then Aborted_too_many_active
+              else if float_of_int (List.length (clique !board)) < clique_size_threshold n
+              then Aborted_small_clique
               else begin
-                let acts = actives_sorted () in
-                let edges = List.rev !edge_cols in
-                let c_active = compute_active_clique cache ~actives:acts ~edges in
-                if float_of_int (List.length c_active) < clique_size_threshold n then
-                  Aborted_small_clique
-                else Found (List.sort Int.compare !claimed)
+                (* The claims: senders of a 1 in the last round after the
+                   edge rounds. *)
+                let last = Bcast.Board.length !board - 1 in
+                Found
+                  (if last <= cap then []
+                   else Bitvec.indices_set (Bcast.Board.round_bits !board ~round:last))
               end);
         });
   }

@@ -15,9 +15,9 @@
     + every processor broadcasts whether it is adjacent to at least a 9/10
       fraction of [C_active] (1 round); the claimed set is the output.
 
-    Protocol values returned here hold a small per-run cache (all
-    processors compute the same maximum clique from common knowledge, so it
-    is computed once); create a fresh protocol per run. *)
+    All processors compute the same maximum clique from the board, so
+    the simulator computes it once per run ({!Bcast.Board.common}).
+    Protocol values hold no state and may be reused across runs. *)
 
 type outcome =
   | Found of int list  (** The recovered clique, sorted. *)

@@ -1,55 +1,58 @@
 let rounds ~k = k + 1
 
-let protocol ~k =
+(* Every processor reaches the same verdict from the board alone, so the
+   GF(2) work runs once per run through [Board.common]; processors only
+   keep the board they were handed. *)
+let board_protocol ~name ~rounds ~spawn_check verdict =
+  let key = Bcast.Board.key name in
   {
-    Bcast.name = Printf.sprintf "seed-attack(k=%d)" k;
-    msg_bits = 1;
-    rounds = rounds ~k;
-    spawn =
-      (fun ~id:_ ~n ~input ~rand:_ ->
-        if Bitvec.length input < k + 1 then
-          invalid_arg "Seed_attack: inputs must have at least k+1 bits";
-        (* seeds.(i) collects processor i's first k bits; last.(i) its
-           (k+1)-st bit. *)
-        let seeds = Array.init n (fun _ -> Bitvec.create k) in
-        let last = Array.make n false in
-        {
-          Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive =
-            (fun ~round messages ->
-              Array.iteri
-                (fun i v ->
-                  if round < k then Bitvec.set seeds.(i) round (v = 1)
-                  else last.(i) <- v = 1)
-                messages);
-          finish =
-            (fun () ->
-              (* Consistent with the PRG iff [X v = b] is solvable, where
-                 row i of X is processor i's seed and b_i its extra bit. *)
-              let x = Gf2_matrix.of_rows seeds in
-              let b = Bitvec.of_bool_array last in
-              Option.is_some (Gf2_matrix.solve x b));
-        });
-  }
-
-let rank_test_protocol ~rounds =
-  {
-    Bcast.name = Printf.sprintf "rank-test(rounds=%d)" rounds;
+    Bcast.name;
     msg_bits = 1;
     rounds;
     spawn =
       (fun ~id:_ ~n ~input ~rand:_ ->
-        if Bitvec.length input < rounds then
-          invalid_arg "Seed_attack.rank_test: inputs shorter than round budget";
-        let observed = Gf2_matrix.create ~rows:n ~cols:rounds in
+        spawn_check input;
+        let board = ref (Bcast.Board.empty ~n ~msg_bits:1) in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive =
-            (fun ~round messages ->
-              Array.iteri (fun i v -> Gf2_matrix.set observed i round (v = 1)) messages);
-          finish = (fun () -> Gf2_matrix.rank observed < min n rounds);
+          receive = (fun ~round:_ b -> board := b);
+          finish = (fun () -> Bcast.Board.common !board key verdict);
         });
   }
+
+(* The [n x cols] matrix whose row [i] is sender [i]'s first [cols]
+   broadcast bits.  A board cut short by [with_rounds] gives fewer
+   columns, which changes neither solvability nor rank. *)
+let sender_matrix board ~cols =
+  let first = Bcast.Board.truncate board ~rounds:cols in
+  Gf2_matrix.of_rows
+    (Array.init (Bcast.Board.n board) (fun sender -> Bcast.Board.sender_bits first ~sender))
+
+let protocol ~k =
+  board_protocol
+    ~name:(Printf.sprintf "seed-attack(k=%d)" k)
+    ~rounds:(rounds ~k)
+    ~spawn_check:(fun input ->
+      if Bitvec.length input < k + 1 then
+        invalid_arg "Seed_attack: inputs must have at least k+1 bits")
+    (fun board ->
+      (* Consistent with the PRG iff [X v = b] is solvable, where row i of
+         X is processor i's seed and b_i its extra bit. *)
+      let b =
+        if Bcast.Board.length board > k then Bcast.Board.round_bits board ~round:k
+        else Bitvec.create (Bcast.Board.n board)
+      in
+      Option.is_some (Gf2_matrix.solve (sender_matrix board ~cols:k) b))
+
+let rank_test_protocol ~rounds =
+  board_protocol
+    ~name:(Printf.sprintf "rank-test(rounds=%d)" rounds)
+    ~rounds
+    ~spawn_check:(fun input ->
+      if Bitvec.length input < rounds then
+        invalid_arg "Seed_attack.rank_test: inputs shorter than round budget")
+    (fun board ->
+      Gf2_matrix.rank (sender_matrix board ~cols:rounds) < min (Bcast.Board.n board) rounds)
 
 let declares_pseudo ~params ~inputs g =
   let proto = protocol ~k:params.Full_prg.k in

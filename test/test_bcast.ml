@@ -62,6 +62,127 @@ let test_transcript_selectors () =
   let p = Transcript.prefix t 2 in
   check_int "prefix" 2 (Transcript.length p)
 
+(* The flat buffer keeps [append] persistent: branching off an older
+   transcript, or off a prefix, never disturbs the newer one. *)
+let test_transcript_branching () =
+  let t0 = Transcript.empty ~msg_bits:4 in
+  let t2 = Transcript.append (Transcript.append t0 (entry 0 0 0 3)) (entry 1 0 1 4) in
+  let t3 = Transcript.append t2 (entry 2 1 0 5) in
+  let b3 = Transcript.append t2 (entry 2 1 0 9) in
+  let p1 = Transcript.append (Transcript.prefix t3 1) (entry 1 0 1 7) in
+  let t4 = Transcript.append t3 (entry 3 1 1 6) in
+  check_string "t3 kept" "4|0:3|1:4|0:5" (Transcript.key t3);
+  check_string "branch" "4|0:3|1:4|0:9" (Transcript.key b3);
+  check_string "prefix branch" "4|0:3|1:7" (Transcript.key p1);
+  check_string "t4 grew" "4|0:3|1:4|0:5|1:6" (Transcript.key t4);
+  check_string "t2 untouched" "4|0:3|1:4" (Transcript.key t2);
+  check_int "entry O(1) read" 5 (Transcript.entry t4 2).Transcript.value;
+  (* Growth past the initial capacity keeps every entry. *)
+  let big = ref t0 in
+  for i = 0 to 999 do
+    big := Transcript.append !big (entry i (i / 10) (i mod 10) (i mod 16))
+  done;
+  for i = 0 to 999 do
+    let e = Transcript.entry !big i in
+    check_bool "entry round-trips" true
+      (e = { Transcript.turn = i; round = i / 10; sender = i mod 10; value = i mod 16 })
+  done;
+  check_string "pp format"
+    "turn 0 (round 0): processor 0 -> 3\nturn 1 (round 0): processor 1 -> 4\n"
+    (Format.asprintf "%a" Transcript.pp t2)
+
+(* --- Board --- *)
+
+let board_of rounds =
+  let store = Bcast.Board.create ~n:(Array.length rounds.(0)) ~msg_bits:3 in
+  Array.iter (fun r -> Bcast.Board.append store (Array.copy r)) rounds;
+  Bcast.Board.view store
+
+let test_board_reads () =
+  let b = board_of [| [| 1; 6; 0 |]; [| 7; 2; 5 |] |] in
+  check_int "length" 2 (Bcast.Board.length b);
+  check_int "get" 5 (Bcast.Board.get b ~round:1 ~sender:2);
+  let low = Bcast.Board.lane b ~pos:0 ~width:1 in
+  check_string "round_bits = low bits of round 1" "101"
+    (Bitvec.to_string (Bcast.Board.round_bits low ~round:1));
+  check_string "sender_bits = sender 2's low bits" "01"
+    (Bitvec.to_string (Bcast.Board.sender_bits low ~sender:2));
+  let high = Bcast.Board.lane b ~pos:1 ~width:2 in
+  check_int "lane masks and shifts" 3 (Bcast.Board.get high ~round:0 ~sender:1);
+  check_int "lane width" 2 (Bcast.Board.msg_bits high);
+  (* Lanes compose: bit 1 of the high lane is bit 2 of the message. *)
+  let bit2 = Bcast.Board.lane high ~pos:1 ~width:1 in
+  check_int "nested lane" 1 (Bcast.Board.get bit2 ~round:1 ~sender:2);
+  check_int "nested lane" 0 (Bcast.Board.get bit2 ~round:0 ~sender:0);
+  let later = Bcast.Board.shift b ~rounds:1 in
+  check_int "shift" 7 (Bcast.Board.get later ~round:0 ~sender:0);
+  check_int "truncate" 1 (Bcast.Board.length (Bcast.Board.truncate b ~rounds:1));
+  Alcotest.check_raises "outside the view" (Invalid_argument "Board: round outside the view")
+    (fun () -> ignore (Bcast.Board.get later ~round:1 ~sender:0));
+  Alcotest.check_raises "packed reads need 1-bit views"
+    (Invalid_argument "Board.round_bits: 1-bit views only") (fun () ->
+      ignore (Bcast.Board.round_bits b ~round:0))
+
+(* [common] runs its function once per key per board length (so once per
+   round here), however many processors ask, and separately for each
+   key and each window. *)
+let test_board_common_once_per_round () =
+  let n = 5 and rounds = 4 in
+  let calls = Hashtbl.create 4 in
+  let count name =
+    Hashtbl.replace calls name (1 + Option.value ~default:0 (Hashtbl.find_opt calls name))
+  in
+  let sum_key = Bcast.Board.key "sum" and max_key = Bcast.Board.key "max" in
+  let first_key = Bcast.Board.key "first" in
+  let total b =
+    let t = ref 0 in
+    for round = 0 to Bcast.Board.length b - 1 do
+      for sender = 0 to Bcast.Board.n b - 1 do
+        t := !t + Bcast.Board.get b ~round ~sender
+      done
+    done;
+    !t
+  in
+  let proto =
+    {
+      Bcast.name = "common-counter";
+      msg_bits = 2;
+      rounds;
+      spawn =
+        (fun ~id ~n:_ ~input:_ ~rand:_ ->
+          let board = ref (Bcast.Board.empty ~n ~msg_bits:2) in
+          let seen = ref [] in
+          {
+            Bcast.send = (fun ~round -> (id + round) mod 4);
+            receive =
+              (fun ~round:_ b ->
+                board := b;
+                let s = Bcast.Board.common b sum_key (fun b -> count "sum"; total b) in
+                let m = Bcast.Board.common b max_key (fun b -> count "max"; Bcast.Board.length b) in
+                let f =
+                  Bcast.Board.common (Bcast.Board.truncate b ~rounds:1) first_key (fun b ->
+                      count "first"; total b)
+                in
+                seen := (s, m, f) :: !seen);
+            finish =
+              (fun () ->
+                (* Same length as the last receive: a memo hit. *)
+                ignore (Bcast.Board.common !board sum_key (fun b -> count "sum"; total b));
+                List.rev !seen);
+          });
+    }
+  in
+  let inputs = Array.init n (fun _ -> Bitvec.create 1) in
+  let r = Bcast.run_deterministic proto ~inputs in
+  check_int "sum: once per round" rounds (Hashtbl.find calls "sum");
+  check_int "max: once per round" rounds (Hashtbl.find calls "max");
+  check_int "fixed window: once per run" 1 (Hashtbl.find calls "first");
+  Array.iter
+    (fun seen -> check_bool "every processor saw the same values" true (seen = r.Bcast.outputs.(0)))
+    r.Bcast.outputs;
+  let _, _, first_round = List.hd r.Bcast.outputs.(0) in
+  check_int "values are the board's" (0 + 1 + 2 + 3 + 0) first_round
+
 (* --- Rand_counter --- *)
 
 let test_rand_counter_counts () =
@@ -215,7 +336,10 @@ let sum_protocol ~rounds =
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
           receive =
-            (fun ~round:_ messages -> Array.iter (fun v -> total := !total + v) messages);
+            (fun ~round board ->
+              for sender = 0 to Bcast.Board.n board - 1 do
+                total := !total + Bcast.Board.get board ~round ~sender
+              done);
           finish = (fun () -> !total);
         });
   }
@@ -292,7 +416,7 @@ let test_same_round_isolation () =
           {
             Bcast.send =
               (fun ~round -> if round = 0 then (if id = 0 then 1 else 0) else !last_seen);
-            receive = (fun ~round:_ messages -> last_seen := messages.(0));
+            receive = (fun ~round board -> last_seen := Bcast.Board.get board ~round ~sender:0);
             finish = (fun () -> !last_seen);
           });
     }
@@ -463,6 +587,13 @@ let () =
           Alcotest.test_case "persistence" `Quick test_transcript_persistence;
           Alcotest.test_case "keys" `Quick test_transcript_keys;
           Alcotest.test_case "selectors" `Quick test_transcript_selectors;
+          Alcotest.test_case "branching appends" `Quick test_transcript_branching;
+        ] );
+      ( "board",
+        [
+          Alcotest.test_case "reads and windows" `Quick test_board_reads;
+          Alcotest.test_case "common once per key per round" `Quick
+            test_board_common_once_per_round;
         ] );
       ( "rand_counter",
         [

@@ -15,7 +15,11 @@ let count_ones_protocol ~rounds =
         let total = ref 0 in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive = (fun ~round:_ messages -> Array.iter (fun v -> total := !total + v) messages);
+          receive =
+            (fun ~round board ->
+              for sender = 0 to Bcast.Board.n board - 1 do
+                total := !total + Bcast.Board.get board ~round ~sender
+              done);
           finish = (fun () -> !total);
         });
   }
@@ -31,7 +35,11 @@ let max_bit_protocol =
         let best = ref 0 in
         {
           Bcast.send = (fun ~round:_ -> if Bitvec.get input 0 then 1 else 0);
-          receive = (fun ~round:_ messages -> Array.iter (fun v -> best := max !best v) messages);
+          receive =
+            (fun ~round board ->
+              for sender = 0 to Bcast.Board.n board - 1 do
+                best := max !best (Bcast.Board.get board ~round ~sender)
+              done);
           finish = (fun () -> !best);
         });
   }
@@ -83,6 +91,71 @@ let test_parallel_width_limit () =
   Alcotest.check_raises "combined width"
     (Invalid_argument "Bcast.parallel_pair: combined width > 30") (fun () ->
       ignore (Bcast.parallel_pair wide { wide with Bcast.msg_bits = 15 }))
+
+(* A protocol that sends [value ~id ~round] and outputs everything its
+   board shows at [finish]: (msg_bits, rows of messages by round). *)
+let recorder ~msg_bits ~rounds value =
+  {
+    Bcast.name = "recorder";
+    msg_bits;
+    rounds;
+    spawn =
+      (fun ~id ~n ~input:_ ~rand:_ ->
+        let board = ref (Bcast.Board.empty ~n ~msg_bits) in
+        let ok = ref true in
+        {
+          Bcast.send = (fun ~round -> value ~id ~round);
+          receive =
+            (fun ~round b ->
+              (* The view's last round is the one just received. *)
+              if Bcast.Board.length b <> round + 1 then ok := false;
+              board := b);
+          finish =
+            (fun () ->
+              let b = !board in
+              ( !ok,
+                Bcast.Board.msg_bits b,
+                Array.init (Bcast.Board.length b) (fun round ->
+                    Array.init n (fun sender -> Bcast.Board.get b ~round ~sender)) ));
+        });
+  }
+
+let expected ~n ~rounds value =
+  Array.init rounds (fun round -> Array.init n (fun id -> value ~id ~round))
+
+let test_sequential_views () =
+  let n = 3 in
+  let v1 ~id ~round = (id + round) mod 4 and v2 ~id ~round = (3 * id + round + 1) mod 4 in
+  let proto =
+    Bcast.sequential (recorder ~msg_bits:2 ~rounds:2 v1) (recorder ~msg_bits:2 ~rounds:3 v2)
+  in
+  let r = Bcast.run_deterministic proto ~inputs:(Array.init n (fun _ -> Bitvec.create 1)) in
+  Array.iter
+    (fun ((ok1, w1, seen1), (ok2, w2, seen2)) ->
+      check_bool "first: round-aligned" true ok1;
+      check_bool "second: shifted round numbers" true ok2;
+      check_int "widths" 2 w1;
+      check_int "widths" 2 w2;
+      check_bool "first sees only its own rounds" true (seen1 = expected ~n ~rounds:2 v1);
+      check_bool "second sees only its own rounds" true (seen2 = expected ~n ~rounds:3 v2))
+    r.Bcast.outputs
+
+let test_parallel_pair_views () =
+  let n = 4 in
+  let v1 ~id ~round = (id + round) mod 2 and v2 ~id ~round = (id * 5 + round) mod 8 in
+  let proto =
+    Bcast.parallel_pair (recorder ~msg_bits:1 ~rounds:2 v1) (recorder ~msg_bits:3 ~rounds:4 v2)
+  in
+  let r = Bcast.run_deterministic proto ~inputs:(Array.init n (fun _ -> Bitvec.create 1)) in
+  Array.iter
+    (fun ((ok1, w1, seen1), (ok2, w2, seen2)) ->
+      check_bool "lanes round-aligned" true (ok1 && ok2);
+      check_int "lane 1 width" 1 w1;
+      check_int "lane 2 width" 3 w2;
+      (* The finished lane stops at its own round budget. *)
+      check_bool "lane 1 masked and truncated" true (seen1 = expected ~n ~rounds:2 v1);
+      check_bool "lane 2 shifted" true (seen2 = expected ~n ~rounds:4 v2))
+    r.Bcast.outputs
 
 (* --- influences --- *)
 
@@ -162,6 +235,8 @@ let () =
           Alcotest.test_case "sequential width" `Quick test_sequential_width_mismatch;
           Alcotest.test_case "parallel pair" `Quick test_parallel_pair;
           Alcotest.test_case "parallel matches solo" `Quick test_parallel_pair_matches_solo;
+          Alcotest.test_case "sequential views" `Quick test_sequential_views;
+          Alcotest.test_case "parallel pair views" `Quick test_parallel_pair_views;
           Alcotest.test_case "parallel width limit" `Quick test_parallel_width_limit;
         ] );
       ( "influences",

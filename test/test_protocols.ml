@@ -280,9 +280,136 @@ let prop_equality_deterministic_correct =
       let result = Bcast.run_deterministic proto ~inputs in
       result.Bcast.outputs.(0) = Equality.all_equal inputs)
 
+(* --- board protocols vs their copy-loop oracles (test/oracle_bcast.ml) --- *)
+
+(* Runs the library protocol and its oracle on the same inputs and the
+   same randomness — per-processor splits of [seed], or the given
+   per-processor tapes ([Rand_counter.of_tape]) — and checks outputs,
+   transcript key and resource charges agree.  Returns the outputs. *)
+let check_matches_oracle ~name ~seed ?tapes (proto : 'o Bcast.protocol)
+    (oracle : 'o Oracle_bcast.protocol) inputs =
+  let lib, ora =
+    match tapes with
+    | None ->
+        ( Bcast.run proto ~inputs ~rand:(Prng.create seed),
+          Oracle_bcast.run oracle ~inputs ~rand:(Prng.create seed) )
+    | Some tapes ->
+        let sources () = Array.map Bcast.Rand_counter.of_tape tapes in
+        ( Bcast.run_with_sources proto ~inputs ~sources:(sources ()),
+          Oracle_bcast.run_with_sources oracle ~inputs ~sources:(sources ()) )
+  in
+  let label what =
+    Printf.sprintf "%s seed %d%s: %s" name seed (if tapes = None then "" else " (tape)") what
+  in
+  check_bool (label "outputs") true (lib.Bcast.outputs = ora.Oracle_bcast.outputs);
+  Alcotest.(check string) (label "transcript key") ora.Oracle_bcast.key
+    (Transcript.key lib.Bcast.transcript);
+  Alcotest.(check (array int)) (label "random bits") ora.Oracle_bcast.random_bits
+    lib.Bcast.random_bits;
+  check_int (label "broadcast bits") ora.Oracle_bcast.broadcast_bits lib.Bcast.broadcast_bits;
+  lib.Bcast.outputs
+
+let oracle_seeds = [ 1; 2; 42 ]
+
+(* Per-processor tapes of [bits] uniform bits, split from [seed]. *)
+let random_tapes ~seed ~n bits =
+  Array.init n (fun i -> Prng.bitvec (Prng.split (Prng.create seed) i) bits)
+
+let test_seed_attack_matches_oracle () =
+  let params = { Full_prg.n = 24; k = 8; m = 16 } in
+  let verdicts = ref [] in
+  List.iter
+    (fun seed ->
+      let g = Prng.create seed in
+      let pseudo, _ = Full_prg.sample_inputs_pseudo g params in
+      let random = Full_prg.sample_inputs_rand g params in
+      List.iter
+        (fun inputs ->
+          let run ?tapes () =
+            check_matches_oracle ~name:"seed-attack" ~seed ?tapes
+              (Seed_attack.protocol ~k:8) (Oracle_bcast.seed_attack ~k:8) inputs
+          in
+          let tapes = random_tapes ~seed ~n:24 16 in
+          verdicts := (run ()).(0) :: (run ~tapes ()).(0) :: !verdicts;
+          List.iter
+            (fun rounds ->
+              ignore
+                (check_matches_oracle ~name:"rank-test" ~seed
+                   (Seed_attack.rank_test_protocol ~rounds) (Oracle_bcast.rank_test ~rounds)
+                   inputs))
+            [ 4; 8; 9; 16 ])
+        [ pseudo; random ])
+    oracle_seeds;
+  check_bool "both verdicts exercised" true (List.mem true !verdicts && List.mem false !verdicts)
+
+let test_planted_clique_matches_oracle () =
+  let kinds = Hashtbl.create 3 in
+  List.iter
+    (fun seed ->
+      let g = Prng.create seed in
+      (* Planted (Found) and null (Aborted_small_clique) inputs; an
+         all-zero tape wins every activation coin, which overflows the
+         active cap at p < 1/2 (Aborted_too_many_active). *)
+      List.iter
+        (fun (n, k, planted) ->
+          let graph =
+            if planted then fst (Planted.sample_planted g ~n ~k) else Planted.sample_rand g n
+          in
+          let inputs = Array.init n (Digraph.out_row graph) in
+          let proto = Planted_clique_algo.protocol ~n ~k in
+          let oracle = Oracle_bcast.planted_clique ~n ~k in
+          List.iter
+            (fun tapes ->
+              match (check_matches_oracle ~name:"planted-clique" ~seed ?tapes proto oracle inputs).(0) with
+              | Planted_clique_algo.Found _ -> Hashtbl.replace kinds "found" ()
+              | Aborted_small_clique -> Hashtbl.replace kinds "small" ()
+              | Aborted_too_many_active -> Hashtbl.replace kinds "too many" ())
+            [ None; Some (random_tapes ~seed ~n 30); Some (Array.make n (Bitvec.create 30)) ])
+        [ (128, 64, true); (128, 64, false); (128, 100, true) ])
+    oracle_seeds;
+  check_int "every outcome exercised" 3 (Hashtbl.length kinds)
+
+let test_degree_matches_oracle () =
+  List.iter
+    (fun seed ->
+      let n = 40 in
+      let graph, _ = Planted.sample_planted (Prng.create seed) ~n ~k:12 in
+      let inputs = Array.init n (Digraph.out_row graph) in
+      List.iter
+        (fun tapes ->
+          ignore
+            (check_matches_oracle ~name:"degree" ~seed ?tapes
+               (Distinguisher_protocols.degree_protocol ~n) (Oracle_bcast.degree ~n) inputs))
+        [ None; Some (random_tapes ~seed ~n 8) ])
+    oracle_seeds
+
+let test_connectivity_matches_oracle () =
+  List.iter
+    (fun seed ->
+      let n = 12 in
+      let graph = Gnp.sample (Prng.create seed) ~n ~p:0.15 in
+      let inputs = Array.init n (Digraph.out_row graph) in
+      let cfg = Connectivity.default_config ~n ~seed in
+      List.iter
+        (fun tapes ->
+          let out =
+            check_matches_oracle ~name:"connectivity" ~seed ?tapes
+              (Connectivity.protocol cfg) (Oracle_bcast.connectivity cfg) inputs
+          in
+          check_int "matches BFS" (Connectivity.exact_components graph) out.(0))
+        [ None; Some (random_tapes ~seed ~n 8) ])
+    oracle_seeds
+
 let () =
   Alcotest.run "protocols"
     [
+      ( "board oracle",
+        [
+          Alcotest.test_case "seed attack + rank test" `Quick test_seed_attack_matches_oracle;
+          Alcotest.test_case "planted clique" `Quick test_planted_clique_matches_oracle;
+          Alcotest.test_case "degree summary" `Quick test_degree_matches_oracle;
+          Alcotest.test_case "connectivity" `Quick test_connectivity_matches_oracle;
+        ] );
       ( "planted clique (B.1)",
         [
           Alcotest.test_case "recovers the clique" `Slow test_clique_algo_recovers;

@@ -184,6 +184,56 @@ let test_f2_validation () =
   Alcotest.check_raises "bad universe" (Invalid_argument "F2_moment: universe must be nonempty")
     (fun () -> ignore (F2_moment.protocol { F2_moment.d = 0; repetitions = 1; seed = 1 }))
 
+(* --- environment knobs: one parser, out-of-range values rejected --- *)
+
+(* Runs [f] with [name] set to [value], restoring the previous value
+   (empty counts as unset for every knob). *)
+let with_env name value f =
+  let old = Option.value (Sys.getenv_opt name) ~default:"" in
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name old) f
+
+let rejects name value read =
+  with_env name value (fun () ->
+      match read () with
+      | _ -> Alcotest.failf "%s=%S accepted" name value
+      | exception Env_knob.Invalid msg ->
+          check_bool (Printf.sprintf "%s=%S: message names the knob" name value) true
+            (String.length msg > String.length name
+            && String.sub msg 0 (String.length name) = name))
+
+let test_env_knob_parser () =
+  List.iter (fun v -> rejects "BCC_DOMAINS" v Env_knob.domains) [ "abc"; "-3"; "0"; "999"; "4x" ];
+  List.iter (fun v -> rejects "BCC_E31_N" v Env_knob.e31_n) [ "abc"; "12"; "4095"; "2000000" ];
+  let accepts name value read want =
+    with_env name value (fun () ->
+        Alcotest.(check (option int)) (Printf.sprintf "%s=%S" name value) want (read ()))
+  in
+  accepts "BCC_DOMAINS" "" Env_knob.domains None;
+  accepts "BCC_DOMAINS" "1" Env_knob.domains (Some 1);
+  accepts "BCC_DOMAINS" " 64 " Env_knob.domains (Some 64);
+  accepts "BCC_E31_N" "4096" Env_knob.e31_n (Some 4096);
+  accepts "BCC_E31_N" "" Env_knob.e31_n None
+
+(* The CLI boundary: a bad knob is a one-line message and the documented
+   exit status, not cmdliner's 125 "internal error". *)
+let test_cli_rejects_bad_knobs () =
+  let err_file = Filename.temp_file "knob" ".err" in
+  List.iter
+    (fun env ->
+      let cmd =
+        Printf.sprintf "%s ../bin/bcc_cli.exe --list > /dev/null 2> %s" env
+          (Filename.quote err_file)
+      in
+      Alcotest.(check int) env Env_knob.exit_code (Sys.command cmd);
+      let err = In_channel.with_open_text err_file In_channel.input_all in
+      Alcotest.(check int) (env ^ ": one line") 1
+        (List.length (String.split_on_char '\n' (String.trim err))))
+    [ "BCC_DOMAINS=abc"; "BCC_DOMAINS=-3"; "BCC_DOMAINS=999"; "BCC_E31_N=12" ];
+  Sys.remove err_file;
+  Alcotest.(check int) "a valid knob runs" 0
+    (Sys.command "BCC_DOMAINS=2 ../bin/bcc_cli.exe --list > /dev/null")
+
 let () =
   Alcotest.run "robustness"
     [
@@ -209,5 +259,10 @@ let () =
           Alcotest.test_case "outputs agree" `Quick test_f2_outputs_agree;
           Alcotest.test_case "repetitions help" `Quick test_f2_more_reps_helps;
           Alcotest.test_case "validation" `Quick test_f2_validation;
+        ] );
+      ( "env knobs",
+        [
+          Alcotest.test_case "parser rejects out of range" `Quick test_env_knob_parser;
+          Alcotest.test_case "cli exit code" `Quick test_cli_rejects_bad_knobs;
         ] );
     ]
