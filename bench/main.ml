@@ -807,8 +807,8 @@ let run_graph ~quick () =
 let spgraph_equal (a : Bcc_kern.Spgraph.t) (b : Bcc_kern.Spgraph.t) =
   a.Bcc_kern.Spgraph.n = b.Bcc_kern.Spgraph.n
   && a.Bcc_kern.Spgraph.row_ptr = b.Bcc_kern.Spgraph.row_ptr
-  && Bcc_kern.Buf.int_to_array a.Bcc_kern.Spgraph.cols
-     = Bcc_kern.Buf.int_to_array b.Bcc_kern.Spgraph.cols
+  && Bcc_kern.Buf.i32_to_array a.Bcc_kern.Spgraph.cols
+     = Bcc_kern.Buf.i32_to_array b.Bcc_kern.Spgraph.cols
 
 (* Does the CSR hold exactly the edges of the packed rows? *)
 let spgraph_matches_rows rows (t : Bcc_kern.Spgraph.t) =

@@ -305,8 +305,8 @@ let run_kern_check seed =
       check
         (Printf.sprintf "sparse-sample n=%d" n)
         (sg.Bcc_kern.Spgraph.row_ptr = sg'.Bcc_kern.Spgraph.row_ptr
-        && Bcc_kern.Buf.int_to_array sg.Bcc_kern.Spgraph.cols
-           = Bcc_kern.Buf.int_to_array sg'.Bcc_kern.Spgraph.cols);
+        && Bcc_kern.Buf.i32_to_array sg.Bcc_kern.Spgraph.cols
+           = Bcc_kern.Buf.i32_to_array sg'.Bcc_kern.Spgraph.cols);
       let dcore = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg) in
       let score = Bcc_kern.Spgraph.bidirectional_core sg in
       let core_ok = ref true in

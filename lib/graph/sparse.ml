@@ -10,19 +10,19 @@ let iter_out = Spgraph.iter_row
 let has_edge = Spgraph.mem
 let count_common_out_neighbors = Spgraph.common_count
 
-(* bcc-lint: allow kern/unsafe-index — the fill cursor never passes row_ptr.(n) = Buf.int_length cols: row i writes exactly out_degree g i entries and the offsets are their prefix sums *)
+(* bcc-lint: allow kern/unsafe-index — the fill cursor never passes row_ptr.(n) = Buf.i32_length cols: row i writes exactly out_degree g i entries and the offsets are their prefix sums *)
 let of_digraph g =
   let n = Digraph.vertex_count g in
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     row_ptr.(i + 1) <- row_ptr.(i) + Digraph.out_degree g i
   done;
-  let cols = Buf.int_create row_ptr.(n) in
+  let cols = Buf.i32_create row_ptr.(n) in
   let out = ref 0 in
   for i = 0 to n - 1 do
     (* [iter_out] visits ascending, so every row lands sorted. *)
     Digraph.iter_out g i (fun j ->
-        Buf.int_set cols !out j;
+        Buf.i32_set cols !out (Int32.of_int j);
         incr out)
   done;
   Spgraph.make ~n ~row_ptr ~cols
@@ -35,15 +35,28 @@ let to_digraph t =
   done;
   g
 
+(* One pass over the CSR arrays: row i adds its length to its own sum
+   and one to each of its columns' — no per-entry closure call. *)
 let degree_sums t =
   Spgraph.check_t t;
   let n = Spgraph.vertex_count t in
+  let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
   let sums = Array.make n 0 in
   for i = 0 to n - 1 do
-    sums.(i) <- sums.(i) + Spgraph.degree t i;
-    Spgraph.iter_row t i (fun j -> sums.(j) <- sums.(j) + 1)
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    sums.(i) <- sums.(i) + (hi - lo);
+    for idx = lo to hi - 1 do
+      let j = Int32.to_int (Buf.i32_get cols idx) in
+      sums.(j) <- sums.(j) + 1
+    done
   done;
   sums
+
+(* Every sampler refuses an n whose vertex ids overflow the int32
+   columns before it draws or allocates anything. *)
+let check_n name n =
+  if n > Spgraph.max_vertices then
+    invalid_arg (name ^ ": n exceeds 2^31, the int32 column limit")
 
 (* Build a CSR from the sampler's forward-pair stream: [fwd_count.(i)]
    pairs (i, j) per row with the j's concatenated row-major in [js]
@@ -52,18 +65,16 @@ let degree_sums t =
    makes every output row come out ascending (row i first receives its
    smaller neighbours from pairs (u, i) with u increasing, then its
    larger ones from pairs (i, v) with v increasing), so no per-row sort
-   is ever needed.  The stream lives on a [Buf.ints] and the only plain
+   is ever needed.  The stream lives on a [Buf.i32] and the only plain
    arrays are O(n).
 
    This direct variant scatters every backward entry (j, i) straight to
-   its final slot — one random write into [cols] per pair.  Fine while
-   [cols] fits in cache; at the 10^6-vertex rung [cols] is ~8 GB and
-   every scatter is a TLB-and-DRAM round trip, which is what
-   [csr_of_stream_bucketed] below fixes.  Kept as the reference
-   implementation (and the builder for the frozen [sample_gnp_scalar]
-   baseline): both builders emit byte-identical CSRs. *)
+   its final slot — one random write into [cols] per pair.  Kept as the
+   reference implementation and the builder for the frozen
+   [sample_gnp_scalar] baseline; [csr_of_shards] below is the production
+   build, and on a clique-free stream both emit byte-identical CSRs. *)
 let csr_of_stream_direct ~n ~m fwd_count js =
-  if m < 0 || m > Buf.int_length js then
+  if m < 0 || m > Buf.i32_length js then
     invalid_arg "Sparse: pair stream shorter than m";
   if Array.length fwd_count <> n then
     invalid_arg "Sparse: per-row count length mismatch";
@@ -72,7 +83,7 @@ let csr_of_stream_direct ~n ~m fwd_count js =
   for i = 0 to n - 1 do
     deg.(i) <- deg.(i) + fwd_count.(i);
     for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
+      let j = Int32.to_int (Buf.i32_get js !e) in
       deg.(j) <- deg.(j) + 1;
       incr e
     done
@@ -84,115 +95,185 @@ let csr_of_stream_direct ~n ~m fwd_count js =
   done;
   (* Uninitialized is safe: the cursor prefix sums partition the buffer
      and the loop writes exactly [deg.(i)] entries into row i. *)
-  let cols = Buf.int_create_uninit (2 * m) in
+  let cols = Buf.i32_create_uninit (2 * m) in
   let cursor = Array.init n (fun i -> row_ptr.(i)) in
   let e = ref 0 in
   for i = 0 to n - 1 do
     for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      Buf.int_set cols cursor.(i) j;
+      let j = Int32.to_int (Buf.i32_get js !e) in
+      Buf.i32_set cols cursor.(i) (Int32.of_int j);
       cursor.(i) <- cursor.(i) + 1;
-      Buf.int_set cols cursor.(j) i;
+      Buf.i32_set cols cursor.(j) (Int32.of_int i);
       cursor.(j) <- cursor.(j) + 1;
       incr e
     done
   done;
   Spgraph.make ~n ~row_ptr ~cols
 
-(* Cache-aware counting sort for the same stream: partition the backward
-   entries (j, i) into row-range buckets first (wide sequential writes),
-   then scatter each bucket into [cols] while its target region and
-   cursor slice are cache-resident.  Each pair is packed into one native
-   int ([j lsl 31 lor i], which is why the caller guarantees
-   n < 2^31), so the partition costs one extra O(m) buffer and every
-   pass is either sequential or confined to ~2^18-entry windows.  At
-   n = 10^6 / m = 5 x 10^8 this takes the build from ~43 ns/pair
-   (DRAM-latency bound) to memory-bandwidth bound.  Output is
-   byte-identical to [csr_of_stream_direct]: bucketing by row range
-   preserves the stream order within each bucket, so every row still
-   receives its entries in ascending order. *)
-let csr_of_stream_bucketed ~n ~m fwd_count js =
-  if m < 0 || m > Buf.int_length js then
-    invalid_arg "Sparse: pair stream shorter than m";
-  if Array.length fwd_count <> n then
-    invalid_arg "Sparse: per-row count length mismatch";
+(* A sampler's output before the CSR build: shards in row order, each
+   (first row, per-row pair counts from that row on, forward-pair
+   stream, pair count).  Their concatenation is the global row-major
+   stream, ascending within each row; a single-stream sampler is one
+   shard. *)
+type shard = int * int array * Buf.i32 * int
+
+(* Visit every row that holds forward pairs: [f i js e c] gets row i's
+   [c] larger neighbours, ascending at js.(e) .. js.(e + c - 1).  A row
+   that straddles a shard boundary is visited once per shard, the
+   earlier shard first, so the visits replay the global stream. *)
+let iter_stream_rows (shards : shard array) f =
+  Array.iter
+    (fun (row0, counts, js, _) ->
+      let e = ref 0 in
+      Array.iteri
+        (fun r c ->
+          if c > 0 then f (row0 + r) js !e c;
+          e := !e + c)
+        counts)
+    shards
+
+(* The one production CSR build: the sampled graph with the planted
+   clique on [clique] (strictly ascending; empty for plain G(n, p))
+   unioned in, from the shard streams.  The merged copy of the stream
+   never exists.
+
+   The count pass takes each row's sampled degree and, for clique rows,
+   the sampled pairs that already join two clique vertices, so [row_ptr]
+   reserves each clique row's final size |sampled ∪ clique \ {v}| up
+   front.  The fills then put every row's sampled entries ascending at
+   the head of its slots (row i receives its smaller neighbours from
+   pairs (u, i), u increasing, before its larger ones from (i, v), v
+   increasing), and a last pass merges the clique into each clique row
+   in place, from its end.  One [cols] buffer and one [Spgraph.make]
+   scan per instance; byte-identical to building the sampled CSR and
+   then taking the sorted-merge union (test/oracle_sparse.ml).
+
+   Two fills, one output.  Under 2^20 pairs the target and the cursors
+   fit in cache, and every backward entry (j, i) is scattered straight
+   to its slot.  Above that a direct scatter costs a DRAM round trip per
+   pair (~43 ns at the 10^6 rung), so the backward entries are first
+   partitioned into row-range buckets (wide sequential writes), one
+   native int [(j lsl 31) lor i] each, then scattered bucket by bucket
+   while the bucket's rows and cursors stay cache-resident — memory-
+   bandwidth bound.  Bucketing keeps stream order inside a bucket, so
+   rows still come out ascending. *)
+(* bcc-lint: allow kern/unsafe-index — iter_stream_rows hands out e + c <= the shard's pair count <= Buf.i32_length js; every cols index is a cursor inside its row's slots [row_ptr.(i), row_ptr.(i + 1)), which partition row_ptr.(n) = Buf.i32_length cols; packed indices are bucket cursors below the bucket prefix sums, which total m = Buf.int_length packed *)
+let csr_of_shards ~n ~clique (shards : shard array) =
+  let kc = Array.length clique in
+  let in_c = Bytes.make (if kc = 0 then 0 else n) '\000' in
+  Array.iteri
+    (fun x v ->
+      if v < 0 || v >= n then invalid_arg "Sparse: clique vertex out of range";
+      if x > 0 && clique.(x - 1) >= v then
+        invalid_arg "Sparse: clique not strictly ascending";
+      Bytes.set in_c v '\001')
+    clique;
+  let m = Array.fold_left (fun acc (_, _, _, ms) -> acc + ms) 0 shards in
   (* Bucket width: the smallest power-of-two row range that keeps the
      bucket count within [target] — a function of n and m only. *)
   let target = max 1 (min 1024 (m / (1 lsl 18))) in
+  let top = max 0 (n - 1) in
   let shift = ref 0 in
-  while ((n - 1) lsr !shift) + 1 > target do incr shift done;
+  while (top lsr !shift) + 1 > target do incr shift done;
   let shift = !shift in
-  let nb = ((n - 1) lsr shift) + 1 in
+  let nb = (top lsr shift) + 1 in
+  (* Count pass.  [deg.(i)]: row i's sampled entries; [res.(i)]: the
+     clique entries row i still lacks. *)
   let bcount = Array.make nb 0 in
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      bcount.(j lsr shift) <- bcount.(j lsr shift) + 1;
-      incr e
-    done
-  done;
-  if !e <> m then invalid_arg "Sparse: per-row counts do not sum to m";
-  let bptr = Array.make (nb + 1) 0 in
-  for b = 0 to nb - 1 do
-    bptr.(b + 1) <- bptr.(b) + bcount.(b)
-  done;
-  (* Partition pass: pack (j, i) and append to j's bucket, accumulating
-     backward degrees on the way (one pass over the stream instead of a
-     later re-read of [packed]).  Stream order is preserved inside each
-     bucket. *)
-  let packed = Buf.int_create_uninit (max 1 m) in
-  let bcur = Array.init nb (fun b -> bptr.(b)) in
   let deg = Array.make (max 1 n) 0 in
-  Array.blit fwd_count 0 deg 0 n;
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      let b = j lsr shift in
-      Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
-      bcur.(b) <- bcur.(b) + 1;
-      deg.(j) <- deg.(j) + 1;
-      incr e
-    done
-  done;
+  let res = Array.make (max 1 n) 0 in
+  Array.iter (fun v -> res.(v) <- kc - 1) clique;
+  iter_stream_rows shards (fun i js e c ->
+      deg.(i) <- deg.(i) + c;
+      let ci = kc > 0 && Bytes.get in_c i <> '\000' in
+      for d = e to e + c - 1 do
+        let j = Int32.to_int (Buf.i32_get js d) in
+        deg.(j) <- deg.(j) + 1;
+        bcount.(j lsr shift) <- bcount.(j lsr shift) + 1;
+        if ci && Bytes.get in_c j <> '\000' then begin
+          res.(i) <- res.(i) - 1;
+          res.(j) <- res.(j) - 1
+        end
+      done);
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
+    row_ptr.(i + 1) <- row_ptr.(i) + deg.(i) + res.(i)
   done;
-  (* Uninitialized is safe: forward entries fill the tail
-     [fwd_count.(i)] slots of each row, backward entries fill the head
-     [deg.(i) - fwd_count.(i)] slots through the cursors, and the two
-     fills write exactly [deg.(i)] entries per row. *)
-  let cols = Buf.int_create_uninit (2 * m) in
-  (* Forward fill: row i's larger neighbours, straight from the stream —
-     sequential read, near-sequential write. *)
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    let base = row_ptr.(i + 1) - fwd_count.(i) in
-    for d = 0 to fwd_count.(i) - 1 do
-      Buf.int_set cols (base + d) (Buf.int_get js (!e + d))
-    done;
-    e := !e + fwd_count.(i)
-  done;
-  (* Backward fill, bucket by bucket: target rows and cursors stay
-     cache-resident for the whole bucket. *)
+  (* Uninitialized is safe: the fills write [deg.(i)] entries at the
+     head of row i through [cursor], and the merge writes the other
+     [res.(i)] slots. *)
+  let cols = Buf.i32_create_uninit row_ptr.(n) in
   let cursor = Array.init (max 1 n) (fun i -> row_ptr.(i)) in
-  let mask31 = (1 lsl 31) - 1 in
-  for e = 0 to m - 1 do
-    let w = Buf.int_get packed e in
-    let j = w lsr 31 in
-    Buf.int_set cols cursor.(j) (w land mask31);
-    cursor.(j) <- cursor.(j) + 1
-  done;
+  if m < 1 lsl 20 then
+    iter_stream_rows shards (fun i js e c ->
+        for d = e to e + c - 1 do
+          let j = Int32.to_int (Buf.i32_get js d) in
+          Buf.i32_set cols cursor.(i) (Int32.of_int j);
+          cursor.(i) <- cursor.(i) + 1;
+          Buf.i32_set cols cursor.(j) (Int32.of_int i);
+          cursor.(j) <- cursor.(j) + 1
+        done)
+  else begin
+    (* Partition pass: pack (j, i) and append it to j's bucket. *)
+    let bcur = Array.make nb 0 in
+    for b = 1 to nb - 1 do
+      bcur.(b) <- bcur.(b - 1) + bcount.(b - 1)
+    done;
+    let packed = Buf.int_create_uninit m in
+    iter_stream_rows shards (fun i js e c ->
+        for d = e to e + c - 1 do
+          let j = Int32.to_int (Buf.i32_get js d) in
+          let b = j lsr shift in
+          Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
+          bcur.(b) <- bcur.(b) + 1
+        done);
+    (* Backward fill, bucket by bucket: every row's smaller
+       neighbours. *)
+    let mask31 = (1 lsl 31) - 1 in
+    for e = 0 to m - 1 do
+      let w = Buf.int_get packed e in
+      let j = w lsr 31 in
+      Buf.i32_set cols cursor.(j) (Int32.of_int (w land mask31));
+      cursor.(j) <- cursor.(j) + 1
+    done;
+    (* Forward fill: the larger neighbours follow, straight from the
+       stream — sequential read, near-sequential write. *)
+    iter_stream_rows shards (fun i js e c ->
+        let base = cursor.(i) in
+        for d = 0 to c - 1 do
+          Buf.i32_set cols (base + d) (Buf.i32_get js (e + d))
+        done;
+        cursor.(i) <- base + c)
+  end;
+  (* Clique merge, from the end of each clique row: its [deg.(v)]
+     sampled entries sit ascending at the head and its slot count is the
+     union size, so the write cursor never falls behind the read cursor
+     and passes no unread entry. *)
+  Array.iter
+    (fun v ->
+      let lo = row_ptr.(v) in
+      let a = ref (lo + deg.(v) - 1) in
+      let out = ref (row_ptr.(v + 1) - 1) in
+      let b = ref (kc - 1) in
+      while !b >= 0 do
+        let y = clique.(!b) in
+        if y = v then decr b
+        else begin
+          let x = if !a >= lo then Int32.to_int (Buf.i32_get cols !a) else -1 in
+          if x >= y then begin
+            Buf.i32_set cols !out (Int32.of_int x);
+            decr a;
+            if x = y then decr b
+          end
+          else begin
+            Buf.i32_set cols !out (Int32.of_int y);
+            decr b
+          end;
+          decr out
+        end
+      done)
+    clique;
   Spgraph.make ~n ~row_ptr ~cols
-
-(* Under ~2^20 pairs both the scatter target and the cursors fit in
-   cache and the direct scatter is already bandwidth-bound; above it the
-   bucketed two-phase sort wins.  n < 2^31 is the packing limit. *)
-let csr_of_stream ~n ~m fwd_count js =
-  if m < 1 lsl 20 || n >= 1 lsl 31 then csr_of_stream_direct ~n ~m fwd_count js
-  else csr_of_stream_bucketed ~n ~m fwd_count js
 
 (* PR 9's sampler, frozen: the scalar draw-per-skip decode over the
    direct scatter build.  [sample_gnp] below emits the identical graph
@@ -200,6 +281,7 @@ let csr_of_stream ~n ~m fwd_count js =
    stays as the reference implementation, the in-run equality oracle and
    the `bench prng` baseline row. *)
 let sample_gnp_scalar g ~n ~p =
+  check_n "Sparse.sample_gnp" n;
   if n < 0 then invalid_arg "Sparse.sample_gnp: n >= 0";
   if p < 0.0 || p > 1.0 then invalid_arg "Sparse.sample_gnp: p in [0,1]";
   let total = n * (n - 1) / 2 in
@@ -209,18 +291,18 @@ let sample_gnp_scalar g ~n ~p =
       (min (max 1 total)
          (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0)))))
   in
-  let js = ref (Buf.int_create_uninit !cap) in
+  let js = ref (Buf.i32_create_uninit !cap) in
   let fwd_count = Array.make (max 1 n) 0 in
   let m = ref 0 in
   let push i j =
     if !m = !cap then begin
       let cap' = min (max 1 total) (2 * !cap) in
-      let js' = Buf.int_create_uninit cap' in
+      let js' = Buf.i32_create_uninit cap' in
       Bigarray.Array1.blit !js (Bigarray.Array1.sub js' 0 !m);
       js := js';
       cap := cap'
     end;
-    Buf.int_set !js !m j;
+    Buf.i32_set !js !m (Int32.of_int j);
     fwd_count.(i) <- fwd_count.(i) + 1;
     incr m
   in
@@ -273,8 +355,10 @@ let sample_gnp_scalar g ~n ~p =
 
    [?stream_cap] overrides the initial pair-stream capacity (normally
    the binomial mean + 6 sigma) so tests can force the geometric-growth
-   path; the sampled graph is identical for any value. *)
-let sample_gnp ?stream_cap g ~n ~p =
+   path; the sampled graph is identical for any value.  Returns the
+   stream as one shard for [csr_of_shards]. *)
+let gnp_stream ?stream_cap g ~n ~p : shard array =
+  check_n "Sparse.sample_gnp" n;
   if n < 0 then invalid_arg "Sparse.sample_gnp: n >= 0";
   if p < 0.0 || p > 1.0 then invalid_arg "Sparse.sample_gnp: p in [0,1]";
   let total = n * (n - 1) / 2 in
@@ -286,7 +370,7 @@ let sample_gnp ?stream_cap g ~n ~p =
         min (max 1 total)
           (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0))))
   in
-  let js = ref (Buf.int_create_uninit cap0) in
+  let js = ref (Buf.i32_create_uninit cap0) in
   let cap = ref cap0 in
   let fwd_count = Array.make (max 1 n) 0 in
   let m = ref 0 in
@@ -295,7 +379,7 @@ let sample_gnp ?stream_cap g ~n ~p =
        [total] at a push (there are at most [total] pushes), so the
        clamped doubling always yields cap' > m. *)
     let cap' = min (max 1 total) (max (2 * !cap) (!m + 1)) in
-    let js' = Buf.int_create_uninit cap' in
+    let js' = Buf.i32_create_uninit cap' in
     if !m > 0 then
       Bigarray.Array1.blit
         (Bigarray.Array1.sub !js 0 !m)
@@ -307,7 +391,7 @@ let sample_gnp ?stream_cap g ~n ~p =
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         if !m = !cap then grow ();
-        Buf.int_set !js !m j;
+        Buf.i32_set !js !m (Int32.of_int j);
         fwd_count.(i) <- fwd_count.(i) + 1;
         incr m
       done
@@ -343,14 +427,17 @@ let sample_gnp ?stream_cap g ~n ~p =
             incr row
           done;
           if !m = !cap then grow ();
-          Buf.int_set !js !m (!row + 1 + (!idx - !row_start));
+          Buf.i32_set !js !m (Int32.of_int (!row + 1 + (!idx - !row_start)));
           fwd_count.(!row) <- fwd_count.(!row) + 1;
           incr m
         end
       done
     done
   end;
-  csr_of_stream ~n ~m:!m fwd_count !js
+  [| (0, fwd_count, !js, !m) |]
+
+let sample_gnp ?stream_cap g ~n ~p =
+  csr_of_shards ~n ~clique:[||] (gnp_stream ?stream_cap g ~n ~p)
 
 let sample_rand g ~n ~p = sample_gnp g ~n ~p
 
@@ -471,12 +558,12 @@ let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
     min (max 1 (hi - lo))
       (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0))))
   in
-  let js = ref (Buf.int_create_uninit cap0) in
+  let js = ref (Buf.i32_create_uninit cap0) in
   let cap = ref cap0 in
   let m = ref 0 in
   let grow () =
     let cap' = min (max 1 (hi - lo)) (max (2 * !cap) (!m + 1)) in
-    let js' = Buf.int_create_uninit cap' in
+    let js' = Buf.i32_create_uninit cap' in
     if !m > 0 then
       Bigarray.Array1.blit
         (Bigarray.Array1.sub !js 0 !m)
@@ -531,117 +618,12 @@ let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
         incr row
       done;
       if !m = !cap then grow ();
-      Buf.int_set !js !m (!row + 1 + (!idx - !row_start));
+      Buf.i32_set !js !m (Int32.of_int (!row + 1 + (!idx - !row_start)));
       counts.(!row - row0) <- counts.(!row - row0) + 1;
       incr m
     end
   done;
   (row0, counts, !js, !m)
-
-(* CSR straight from the per-shard pair streams, taken in shard order —
-   the concatenation in shard order {e is} the global row-major stream,
-   so this is [csr_of_stream_bucketed] with the single stream buffer
-   replaced by a walk over the shard buffers: the merged copy of the
-   stream (4 GB at the 10^6 rung, and this machine pays dearly for every
-   freshly faulted page) never exists.  Small totals just merge and use
-   the direct build. *)
-let csr_of_shards ~n results =
-  let fwd_count = Array.make (max 1 n) 0 in
-  Array.iter
-    (fun (row0, counts, _, _) ->
-      Array.iteri
-        (fun r c -> fwd_count.(row0 + r) <- fwd_count.(row0 + r) + c)
-        counts)
-    results;
-  let m = Array.fold_left (fun acc (_, _, _, ms) -> acc + ms) 0 results in
-  if m < 1 lsl 20 || n >= 1 lsl 31 then begin
-    let js = Buf.int_create_uninit (max 1 m) in
-    let off = ref 0 in
-    Array.iter
-      (fun (_, _, js_s, ms) ->
-        if ms > 0 then
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub js_s 0 ms)
-            (Bigarray.Array1.sub js !off ms);
-        off := !off + ms)
-      results;
-    csr_of_stream_direct ~n ~m fwd_count js
-  end
-  else begin
-    let target = max 1 (min 1024 (m / (1 lsl 18))) in
-    let shift = ref 0 in
-    while ((n - 1) lsr !shift) + 1 > target do incr shift done;
-    let shift = !shift in
-    let nb = ((n - 1) lsr shift) + 1 in
-    let bcount = Array.make nb 0 in
-    Array.iter
-      (fun (_, _, js_s, ms) ->
-        for e = 0 to ms - 1 do
-          (* bcc-lint: allow kern/unsafe-index — e < ms, the shard's emitted count, which decode_shard bounds by Buf.int_length js_s *)
-          let j = Buf.int_get js_s e in
-          bcount.(j lsr shift) <- bcount.(j lsr shift) + 1
-        done)
-      results;
-    let bptr = Array.make (nb + 1) 0 in
-    for b = 0 to nb - 1 do
-      bptr.(b + 1) <- bptr.(b) + bcount.(b)
-    done;
-    let packed = Buf.int_create_uninit (max 1 m) in
-    let bcur = Array.init nb (fun b -> bptr.(b)) in
-    let deg = Array.make (max 1 n) 0 in
-    Array.blit fwd_count 0 deg 0 n;
-    Array.iter
-      (fun (row0, counts, js_s, _) ->
-        let e = ref 0 in
-        Array.iteri
-          (fun r c ->
-            let i = row0 + r in
-            for _ = 1 to c do
-              let j = Buf.int_get js_s !e in
-              let b = j lsr shift in
-              Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
-              bcur.(b) <- bcur.(b) + 1;
-              deg.(j) <- deg.(j) + 1;
-              incr e
-            done)
-          counts)
-      results;
-    let row_ptr = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
-    done;
-    (* Uninitialized is safe: the forward cursors fill the tail
-       [fwd_count.(i)] slots of row i, the backward cursors fill the
-       head, and together they write exactly [deg.(i)] entries per
-       row. *)
-    let cols = Buf.int_create_uninit (2 * m) in
-    (* Forward fill through per-row cursors: a row whose forward walk
-       straddles a shard boundary receives the earlier shard's entries
-       first, preserving ascending order. *)
-    let fcur = Array.init n (fun i -> row_ptr.(i + 1) - fwd_count.(i)) in
-    Array.iter
-      (fun (row0, counts, js_s, _) ->
-        let e = ref 0 in
-        Array.iteri
-          (fun r c ->
-            let i = row0 + r in
-            for _ = 1 to c do
-              Buf.int_set cols fcur.(i) (Buf.int_get js_s !e);
-              fcur.(i) <- fcur.(i) + 1;
-              incr e
-            done)
-          counts)
-      results;
-    let cursor = Array.init n (fun i -> row_ptr.(i)) in
-    let mask31 = (1 lsl 31) - 1 in
-    for e = 0 to m - 1 do
-      let w = Buf.int_get packed e in
-      let j = w lsr 31 in
-      Buf.int_set cols cursor.(j) (w land mask31);
-      cursor.(j) <- cursor.(j) + 1
-    done;
-    Spgraph.make ~n ~row_ptr ~cols
-  end
 
 (* Fixed seed-space salt: the sharded sampler derives its shard streams
    from [split (split g shard_salt) s], leaving the parent stream
@@ -654,34 +636,33 @@ let shard_count total = if total < 65536 then 1 else 64
 (* Sharded G(n, p): the pair-index walk is cut into [shard_count]
    equal slices — a function of n alone, never of the pool size — each
    decoded on its own [Prng.split] child stream by the word-level skip
-   decode above, in parallel on the [Par] pool.  The per-shard pair
-   streams are concatenated in shard order (the global walk is ascending
-   across slice boundaries) and counting-sorted into CSR, so the result
-   is byte-identical at any [BCC_DOMAINS].  This is a new, documented
+   decode above, in parallel on the [Par] pool.  The shard streams, in
+   shard order, are the global walk (ascending across slice boundaries),
+   and [csr_of_shards] counting-sorts them into CSR, so the result is
+   byte-identical at any [BCC_DOMAINS].  This is a new, documented
    stream: same-seed results differ from [sample_gnp] by construction
    (see docs/PERFORMANCE.md "Batched draws"). *)
-let sample_gnp_sharded g ~n ~p =
+let gnp_shards g ~n ~p : shard array =
   if n < 0 then invalid_arg "Sparse.sample_gnp_sharded: n >= 0";
   if n >= 1 lsl 30 then invalid_arg "Sparse.sample_gnp_sharded: n < 2^30";
   if p < 0.0 || p > 1.0 then
     invalid_arg "Sparse.sample_gnp_sharded: p in [0,1]";
   let total = n * (n - 1) / 2 in
-  let fwd_count = Array.make (max 1 n) 0 in
   if p >= 1.0 then begin
     (* Deterministic complete graph: no draws on any stream. *)
-    let js = Buf.int_create_uninit (max 1 total) in
+    let fwd_count = Array.make (max 1 n) 0 in
+    let js = Buf.i32_create_uninit (max 1 total) in
     let m = ref 0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        Buf.int_set js !m j;
+        Buf.i32_set js !m (Int32.of_int j);
         fwd_count.(i) <- fwd_count.(i) + 1;
         incr m
       done
     done;
-    csr_of_stream ~n ~m:!m fwd_count js
+    [| (0, fwd_count, js, !m) |]
   end
-  else if p <= 0.0 || total = 0 then
-    csr_of_stream ~n ~m:0 fwd_count (Buf.int_create_uninit 1)
+  else if p <= 0.0 || total = 0 then [||]
   else begin
     let tbl = make_skip_table p in
     let shards = shard_count total in
@@ -689,134 +670,36 @@ let sample_gnp_sharded g ~n ~p =
     let rem = total mod shards in
     let lo_of s = (base * s) + min s rem in
     let root = Prng.split g shard_salt in
-    let results =
-      Par.map_array
-        (fun s ->
-          let child = Prng.split root s in
-          let lo = lo_of s and hi = lo_of (s + 1) in
-          if lo >= hi then (0, [||], Buf.int_create_uninit 1, 0)
-          else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
-        (Array.init shards Fun.id)
-    in
-    csr_of_shards ~n results
+    Par.map_array
+      (fun s ->
+        let child = Prng.split root s in
+        let lo = lo_of s and hi = lo_of (s + 1) in
+        if lo >= hi then (0, [||], Buf.i32_create_uninit 1, 0)
+        else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
+      (Array.init shards Fun.id)
   end
 
-(* Union the rows of [t] with the clique on [cs]: one count pass, one
-   sorted-merge fill pass — existing edges inside the clique dedupe
-   against the merge, exactly like [Planted.sample_planted_at]'s
-   idempotent [add_edge] calls on the dense side. *)
-let overlay_clique t cs =
-  Spgraph.check_t t;
-  let n = Spgraph.vertex_count t in
-  let kc = Array.length cs in
-  if kc = 0 then t
-  else begin
-    let in_c = Array.make n false in
-    Array.iter
-      (fun v ->
-        if v < 0 || v >= n then invalid_arg "Sparse: clique vertex out of range";
-        in_c.(v) <- true)
-      cs;
-    let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
-    (* |row i ∪ (cs \ {i})| *)
-    let union_size i =
-      let a = ref row_ptr.(i) and ae = row_ptr.(i + 1) in
-      let b = ref 0 in
-      let count = ref 0 in
-      while !a < ae && !b < kc do
-        let x = Buf.int_get cols !a and y = Array.unsafe_get cs !b in
-        if y = i then incr b
-        else if x < y then begin
-          incr count;
-          incr a
-        end
-        else if y < x then begin
-          incr count;
-          incr b
-        end
-        else begin
-          incr count;
-          incr a;
-          incr b
-        end
-      done;
-      count := !count + (ae - !a);
-      while !b < kc do
-        if Array.unsafe_get cs !b <> i then incr count;
-        incr b
-      done;
-      !count
-    in
-    let row_ptr' = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      let d =
-        if in_c.(i) then union_size i else row_ptr.(i + 1) - row_ptr.(i)
-      in
-      row_ptr'.(i + 1) <- row_ptr'.(i) + d
-    done;
-    (* Uninitialized is safe: [emit] writes every slot in order — the
-       per-row union sizes sum to exactly [row_ptr'.(n)]. *)
-    let cols' = Buf.int_create_uninit row_ptr'.(n) in
-    let out = ref 0 in
-    let emit j =
-      Buf.int_set cols' !out j;
-      incr out
-    in
-    for i = 0 to n - 1 do
-      if in_c.(i) then begin
-        let a = ref row_ptr.(i) and ae = row_ptr.(i + 1) in
-        let b = ref 0 in
-        while !a < ae && !b < kc do
-          let x = Buf.int_get cols !a and y = Array.unsafe_get cs !b in
-          if y = i then incr b
-          else if x < y then begin
-            emit x;
-            incr a
-          end
-          else if y < x then begin
-            emit y;
-            incr b
-          end
-          else begin
-            emit x;
-            incr a;
-            incr b
-          end
-        done;
-        while !a < ae do
-          emit (Buf.int_get cols !a);
-          incr a
-        done;
-        while !b < kc do
-          let y = Array.unsafe_get cs !b in
-          if y <> i then emit y;
-          incr b
-        done
-      end
-      else
-        for idx = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-          emit (Buf.int_get cols idx)
-        done
-    done;
-    Spgraph.make ~n ~row_ptr:row_ptr' ~cols:cols'
-  end
+let sample_gnp_sharded g ~n ~p = csr_of_shards ~n ~clique:[||] (gnp_shards g ~n ~p)
 
 (* Sparse-regime planted instance: the clique vertex set is drawn first
    ([Prng.subset]) and the G(n, p) stream second — [Planted.sample_planted]'s
    draw order, so dense and sparse planted instances on a shared seed use
-   the PRNG identically. *)
+   the PRNG identically.  The clique is unioned in by the CSR build itself
+   ([csr_of_shards]): existing edges inside the clique dedupe against the
+   merge, exactly like [Planted.sample_planted_at]'s idempotent [add_edge]
+   calls on the dense side. *)
 let sample_planted g ~n ~p ~k =
+  check_n "Sparse.sample_planted" n;
   let c = Prng.subset g ~n ~k in
-  let base = sample_gnp g ~n ~p in
-  let cs = Array.of_list (List.sort_uniq Int.compare c) in
-  (overlay_clique base cs, c)
+  let clique = Array.of_list (List.sort_uniq Int.compare c) in
+  (csr_of_shards ~n ~clique (gnp_stream g ~n ~p), c)
 
 (* Sharded twin: subset from the parent stream first (same position as
    [sample_planted]), then the sharded G(n, p) — whose shard children
    never touch the parent stream, so after this call the parent sits
    exactly one [subset] past where it started. *)
 let sample_planted_sharded g ~n ~p ~k =
+  check_n "Sparse.sample_planted_sharded" n;
   let c = Prng.subset g ~n ~k in
-  let base = sample_gnp_sharded g ~n ~p in
-  let cs = Array.of_list (List.sort_uniq Int.compare c) in
-  (overlay_clique base cs, c)
+  let clique = Array.of_list (List.sort_uniq Int.compare c) in
+  (csr_of_shards ~n ~clique (gnp_shards g ~n ~p), c)

@@ -13,8 +13,10 @@
     and {!sample_planted} draws the clique subset first like
     [Planted.sample_planted] — so dense artifact pins are untouched and
     dense/sparse runs on a shared seed sample the same graph
-    (test/test_sparse.ml pins both).  Layout, oracle discipline and the
-    dense/sparse crossover: docs/PERFORMANCE.md. *)
+    (test/test_sparse.ml pins both).  Columns are int32, so every
+    sampler rejects [n > Bcc_kern.Spgraph.max_vertices] (2^31) with
+    [Invalid_argument] before drawing anything.  Layout, oracle
+    discipline and the dense/sparse crossover: docs/PERFORMANCE.md. *)
 
 type t = Bcc_kern.Spgraph.t
 (** The kernel-layer CSR, shared so {!Bcc_kern.Spgraph} kernels apply
@@ -88,8 +90,8 @@ val sample_planted_sharded :
 (** {!sample_planted} over the sharded base sampler: clique subset first
     from the parent stream ([Prng.subset], same position as
     {!sample_planted}), then {!sample_gnp_sharded} (parent untouched),
-    then the clique overlay.  After the call the parent stream sits
-    exactly one [subset] past where it started. *)
+    with the clique unioned in by the same CSR build.  After the call
+    the parent stream sits exactly one [subset] past where it started. *)
 
 val sample_rand : Prng.t -> n:int -> p:float -> t
 (** The sparse-regime null model — alias of {!sample_gnp}.  (The dense
@@ -100,6 +102,7 @@ val sample_rand : Prng.t -> n:int -> p:float -> t
 val sample_planted : Prng.t -> n:int -> p:float -> k:int -> (t * int list)
 (** Planted clique over the G(n, p) base: clique subset first
     ([Prng.subset], matching [Planted.sample_planted]'s draw order), then
-    the {!sample_gnp} stream, then a sorted-merge union of the clique
-    pairs into the affected rows.  Returns the instance and the planted
-    set. *)
+    the {!sample_gnp} stream.  The CSR build reserves each clique row's
+    final size and merges the clique into it in place, so the instance
+    costs one column buffer and one invariant scan.  Returns the instance
+    and the planted set. *)

@@ -67,6 +67,22 @@ module Buf = struct
   let int_create_uninit n : ints =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
+  (* Int32 buffers: the CSR column arrays and the samplers' forward-pair
+     streams, at half the bytes of [ints].  A load yields an [int32] that
+     the call site widens with [Int32.to_int]; through the [external]
+     accessors below ocamlopt fuses the two into one sign-extending load,
+     with no box.  A [let]-bound accessor returning the [int32] would box
+     every load wherever it is not inlined, so there is none. *)
+  type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  let i32_create n : i32 =
+    let b = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+    Bigarray.Array1.fill b 0l;
+    b
+
+  let i32_create_uninit n : i32 =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
+
   let f64_create n : f64 =
     let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
     Bigarray.Array1.fill b 0.0;
@@ -80,12 +96,15 @@ module Buf = struct
   external i64_length : i64 -> int = "%caml_ba_dim_1"
   external f64_length : f64 -> int = "%caml_ba_dim_1"
   external int_length : ints -> int = "%caml_ba_dim_1"
+  external i32_length : i32 -> int = "%caml_ba_dim_1"
   external i64_get : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
   external i64_set : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
   external f64_get : f64 -> int -> float = "%caml_ba_unsafe_ref_1"
   external f64_set : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   external int_get : ints -> int -> int = "%caml_ba_unsafe_ref_1"
   external int_set : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+  external i32_get : i32 -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external i32_set : i32 -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
   (* bcc-lint: noalloc *)
   let i64_fill (b : i64) v = Bigarray.Array1.fill b v
 
@@ -113,10 +132,22 @@ module Buf = struct
   let f64_of_array a =
     Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
 
-  let int_of_array a = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a
+  (* Native-int views of an [i32]: the narrowing direction checks every
+     element, so a value that does not fit raises instead of wrapping. *)
+  let i32_of_array a : i32 =
+    Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+      (Array.map
+         (fun v ->
+           if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int
+           then invalid_arg "Buf.i32_of_array: element outside int32";
+           Int32.of_int v)
+         a)
+
   let i64_to_array (b : i64) = Array.init (i64_length b) (Bigarray.Array1.get b)
   let f64_to_array (b : f64) = Array.init (f64_length b) (Bigarray.Array1.get b)
-  let int_to_array (b : ints) = Array.init (int_length b) (Bigarray.Array1.get b)
+
+  let i32_to_array (b : i32) =
+    Array.init (i32_length b) (fun i -> Int32.to_int (Bigarray.Array1.get b i))
 end
 
 (* ------------------------------------------------------- GF(2) kernels *)
@@ -739,8 +770,8 @@ module Spgraph = struct
      dense bit matrix wastes O(n^2) bits on absent edges: [row_ptr] has
      n + 1 offsets into [cols], row i's columns are
      [cols.(row_ptr.(i)) .. cols.(row_ptr.(i+1) - 1)], strictly ascending
-     with no diagonal.  The columns live on a [Buf.ints] so a 10^7-entry
-     graph costs the GC nothing.
+     with no diagonal.  The columns live on a [Buf.i32] — 4 bytes per
+     entry, invisible to the GC — which caps n at [max_vertices].
 
      Every kernel validates the CSR invariants once at entry ([check_t])
      and then runs its inner loops on unchecked [Buf] accesses; the
@@ -760,7 +791,11 @@ module Spgraph = struct
      ~10^9-entry walk) into one scan per graph.  The only write is the
      monotone [false -> true] after a full pass, so concurrent readers
      in sharded kernels are safe. *)
-  type t = { n : int; row_ptr : int array; cols : Buf.ints; mutable checked : bool }
+  type t = { n : int; row_ptr : int array; cols : Buf.i32; mutable checked : bool }
+
+  (* Columns are < n and must fit an int32; the CSR build's packed
+     partition word [(j lsl 31) lor i] needs the same bound. *)
+  let max_vertices = 1 lsl 31
 
   let vertex_count t = t.n
 
@@ -777,17 +812,19 @@ module Spgraph = struct
   let check_t t =
     if not t.checked then begin
       if t.n < 0 then invalid_arg "Spgraph: negative vertex count";
+      if t.n > max_vertices then
+        invalid_arg "Spgraph: n exceeds 2^31, the int32 column limit";
       if Array.length t.row_ptr <> t.n + 1 then
         invalid_arg "Spgraph: row_ptr must have n + 1 offsets";
       if t.row_ptr.(0) <> 0 then invalid_arg "Spgraph: row_ptr must start at 0";
-      if t.row_ptr.(t.n) <> Buf.int_length t.cols then
+      if t.row_ptr.(t.n) <> Buf.i32_length t.cols then
         invalid_arg "Spgraph: row_ptr must end at the column count";
       for i = 0 to t.n - 1 do
         if t.row_ptr.(i) > t.row_ptr.(i + 1) then
           invalid_arg "Spgraph: row_ptr must be monotone";
         let prev = ref (-1) in
         for idx = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-          let j = Buf.int_get t.cols idx in
+          let j = Int32.to_int (Buf.i32_get t.cols idx) in
           if j <= !prev then invalid_arg "Spgraph: row not strictly ascending";
           if j < 0 || j >= t.n then invalid_arg "Spgraph: column out of range";
           if j = i then invalid_arg "Spgraph: diagonal entry";
@@ -809,7 +846,7 @@ module Spgraph = struct
   let iter_row t i f =
     check_vertex t i;
     for idx = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      f (Buf.int_get t.cols idx)
+      f (Int32.to_int (Buf.i32_get t.cols idx))
     done
 
   (* Galloping membership: double the probe offset until it passes [j]
@@ -823,14 +860,16 @@ module Spgraph = struct
     if len = 0 then false
     else begin
       let probe = ref 1 in
-      while !probe < len && Buf.int_get t.cols (base + !probe) < j do
+      while
+        !probe < len && Int32.to_int (Buf.i32_get t.cols (base + !probe)) < j
+      do
         probe := !probe lsl 1
       done;
       let lo = ref (!probe lsr 1) and hi = ref (min !probe (len - 1)) in
       let found = ref false in
       while (not !found) && !lo <= !hi do
         let mid = (!lo + !hi) lsr 1 in
-        let v = Buf.int_get t.cols (base + mid) in
+        let v = Int32.to_int (Buf.i32_get t.cols (base + mid)) in
         if v = j then found := true
         else if v < j then lo := mid + 1
         else hi := mid - 1
@@ -846,7 +885,8 @@ module Spgraph = struct
     let ae = t.row_ptr.(i + 1) and be = t.row_ptr.(j + 1) in
     let count = ref 0 in
     while !a < ae && !b < be do
-      let x = Buf.int_get t.cols !a and y = Buf.int_get t.cols !b in
+      let x = Int32.to_int (Buf.i32_get t.cols !a)
+      and y = Int32.to_int (Buf.i32_get t.cols !b) in
       if x < y then incr a
       else if y < x then incr b
       else begin
@@ -892,7 +932,7 @@ module Spgraph = struct
     let m = t.row_ptr.(n) in
     let tr_ptr = Array.make (n + 1) 0 in
     for idx = 0 to m - 1 do
-      let j = Buf.int_get t.cols idx in
+      let j = Int32.to_int (Buf.i32_get t.cols idx) in
       tr_ptr.(j + 1) <- tr_ptr.(j + 1) + 1
     done;
     for j = 0 to n - 1 do
@@ -901,12 +941,12 @@ module Spgraph = struct
     (* Uninitialized is safe: the scatter writes exactly in-degree(j)
        entries into transpose row j, and the cursor prefix sums partition
        the buffer. *)
-    let tr_cols = Buf.int_create_uninit m in
+    let tr_cols = Buf.i32_create_uninit m in
     let cursor = Array.init n (fun j -> tr_ptr.(j)) in
     for i = 0 to n - 1 do
       for idx = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-        let j = Buf.int_get t.cols idx in
-        Buf.int_set tr_cols cursor.(j) i;
+        let j = Int32.to_int (Buf.i32_get t.cols idx) in
+        Buf.i32_set tr_cols cursor.(j) (Int32.of_int i);
         cursor.(j) <- cursor.(j) + 1
       done
     done;
@@ -916,7 +956,8 @@ module Spgraph = struct
       let a = ref t.row_ptr.(i) and b = ref tr_ptr.(i) in
       let ae = t.row_ptr.(i + 1) and be = tr_ptr.(i + 1) in
       while !a < ae && !b < be do
-        let x = Buf.int_get t.cols !a and y = Buf.int_get tr_cols !b in
+        let x = Int32.to_int (Buf.i32_get t.cols !a)
+        and y = Int32.to_int (Buf.i32_get tr_cols !b) in
         if x < y then incr a
         else if y < x then incr b
         else begin
@@ -945,12 +986,12 @@ module Spgraph = struct
     (* Uninitialized is safe: the fill pass writes exactly [keep.(i)]
        entries into row i's segment, and the segments partition the
        buffer ([row_ptr] is their prefix sum). *)
-    let cols = Buf.int_create_uninit total in
+    let cols = Buf.i32_create_uninit total in
     let fill_range lo hi =
       for i = lo to hi - 1 do
         let out = ref row_ptr.(i) in
         merge_row i (fun j ->
-            Buf.int_set cols !out j;
+            Buf.i32_set cols !out (Int32.of_int j);
             incr out)
       done;
       0
@@ -969,7 +1010,8 @@ module Spgraph = struct
         let lo = ref t.row_ptr.(i) and hi = ref t.row_ptr.(i + 1) in
         while !lo < !hi do
           let mid = (!lo + !hi) lsr 1 in
-          if Buf.int_get t.cols mid <= i then lo := mid + 1 else hi := mid
+          if Int32.to_int (Buf.i32_get t.cols mid) <= i then lo := mid + 1
+          else hi := mid
         done;
         !lo)
 
@@ -991,19 +1033,19 @@ module Spgraph = struct
       for i = lo to hi - 1 do
         let rs = fs.(i) and re = t.row_ptr.(i + 1) in
         for idx = rs to re - 1 do
-          Bytes.unsafe_set mark (Buf.int_get t.cols idx) '\001'
+          Bytes.unsafe_set mark (Int32.to_int (Buf.i32_get t.cols idx)) '\001'
         done;
         for idx = rs to re - 1 do
-          let j = Buf.int_get t.cols idx in
+          let j = Int32.to_int (Buf.i32_get t.cols idx) in
           (* Branchless accumulate: the map holds 0/1 bytes, so the probe
              is an add, not a rarely-taken conditional. *)
           for jdx = fs.(j) to t.row_ptr.(j + 1) - 1 do
-            total :=
-              !total + Char.code (Bytes.unsafe_get mark (Buf.int_get t.cols jdx))
+            let l = Int32.to_int (Buf.i32_get t.cols jdx) in
+            total := !total + Char.code (Bytes.unsafe_get mark l)
           done
         done;
         for idx = rs to re - 1 do
-          Bytes.unsafe_set mark (Buf.int_get t.cols idx) '\000'
+          Bytes.unsafe_set mark (Int32.to_int (Buf.i32_get t.cols idx)) '\000'
         done
       done;
       !total
@@ -1030,12 +1072,13 @@ module Spgraph = struct
       for i = lo to hi - 1 do
         let re = t.row_ptr.(i + 1) in
         for idx = fs.(i) to re - 1 do
-          let j = Buf.int_get t.cols idx in
+          let j = Int32.to_int (Buf.i32_get t.cols idx) in
           let a = ref (idx + 1) and b = ref fs.(j) in
           let be = t.row_ptr.(j + 1) in
           let m = ref 0 in
           while !a < re && !b < be do
-            let x = Buf.int_get t.cols !a and y = Buf.int_get t.cols !b in
+            let x = Int32.to_int (Buf.i32_get t.cols !a)
+            and y = Int32.to_int (Buf.i32_get t.cols !b) in
             if x < y then incr a
             else if y < x then incr b
             else begin
@@ -1051,7 +1094,7 @@ module Spgraph = struct
             let be = t.row_ptr.(l + 1) in
             while !a < !m && !b < be do
               let x = Array.unsafe_get scratch !a
-              and y = Buf.int_get t.cols !b in
+              and y = Int32.to_int (Buf.i32_get t.cols !b) in
               if x < y then incr a
               else if y < x then incr b
               else begin

@@ -37,20 +37,34 @@ module Buf : sig
   type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-  (** Native-int buffer ({!Spgraph}'s column arrays): [Bigarray.int]
-      elements are unboxed 63-bit ints, so — unlike the int32/int64
-      kinds — loads need no boxing even without flambda, and a 10^7-entry
-      buffer is still invisible to the GC. *)
+  (** Native-int buffer (skip tables, the CSR build's packed partition
+      buffer): [Bigarray.int] elements are unboxed 63-bit ints, and a
+      10^7-entry buffer is still invisible to the GC. *)
+
+  type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  (** Int32 buffer ({!Spgraph}'s column arrays and the samplers'
+      forward-pair streams): half the bytes of {!ints}.  Read it as
+      [Int32.to_int (i32_get b i)] and write it as
+      [i32_set b i (Int32.of_int v)]: through the [external] accessors
+      ocamlopt compiles each to one load or store with no box, flambda
+      or not.  A wrapper function returning the [int32] would box every
+      load wherever it is not inlined (test/test_kern.ml pins the
+      {!Spgraph} kernels allocation-free). *)
 
   val i64_create : int -> i64
   val f64_create : int -> f64
   val int_create : int -> ints
+  val i32_create : int -> i32
 
   val int_create_uninit : int -> ints
   (** {!int_create} without the zero-fill — only for buffers whose every
       slot is written before any read (e.g. a CSR fill pass whose cursor
       prefix sums partition the buffer exactly); reading an unwritten
       slot is unspecified garbage. *)
+
+  val i32_create_uninit : int -> i32
+  (** {!i32_create} without the zero-fill, under the same contract as
+      {!int_create_uninit}. *)
 
   (** Accessors are monomorphic [external] re-declarations of the
       Bigarray primitives, so call sites compile to direct unboxed
@@ -59,6 +73,7 @@ module Buf : sig
   external i64_length : i64 -> int = "%caml_ba_dim_1"
   external f64_length : f64 -> int = "%caml_ba_dim_1"
   external int_length : ints -> int = "%caml_ba_dim_1"
+  external i32_length : i32 -> int = "%caml_ba_dim_1"
 
   external i64_get : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
   external i64_set : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
@@ -66,6 +81,8 @@ module Buf : sig
   external f64_set : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   external int_get : ints -> int -> int = "%caml_ba_unsafe_ref_1"
   external int_set : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+  external i32_get : i32 -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external i32_set : i32 -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
   (** Unchecked element access (see module comment). *)
 
   val i64_fill : i64 -> int64 -> unit
@@ -79,12 +96,17 @@ module Buf : sig
 
   val i64_of_array : int64 array -> i64
   val f64_of_array : float array -> f64
-  val int_of_array : int array -> ints
   val i64_to_array : i64 -> int64 array
   val f64_to_array : f64 -> float array
-  val int_to_array : ints -> int array
   (** Boxed-array conversions, for loading and for tests — not for hot
       loops. *)
+
+  val i32_of_array : int array -> i32
+  (** Narrowing copy; raises [Invalid_argument] on an element outside the
+      int32 range.  For loading and for tests. *)
+
+  val i32_to_array : i32 -> int array
+  (** Widening copy, for tests. *)
 end
 
 (** GF(2) kernels on flat packed word buffers. *)
@@ -165,24 +187,28 @@ end
 
     [row_ptr] holds n + 1 offsets into [cols]; row [i]'s columns are
     [cols.(row_ptr.(i)) .. cols.(row_ptr.(i+1) - 1)], strictly ascending,
-    in range, diagonal-free.  The columns live on a {!Buf.ints} so the
-    GC never scans them.  Kernels validate the invariants once at entry
-    and then run unchecked merge/gallop inner loops; the per-vertex loops
+    in range, diagonal-free.  The columns live on a {!Buf.i32} (4 bytes
+    per entry) so the GC never scans them, which caps n at
+    {!Spgraph.max_vertices}.  Kernels validate the invariants once at
+    entry and then run unchecked merge/gallop inner loops; the per-vertex loops
     are sharded over fixed-grain row ranges with a left-to-right fold, so
     every result is byte-identical for every [BCC_DOMAINS].  The dense
     {!Graph} kernels are the in-run equality oracle at n <= 512
     (test/test_sparse.ml, `bench sparse`; layout and crossover analysis:
     docs/PERFORMANCE.md). *)
 module Spgraph : sig
-  type t = { n : int; row_ptr : int array; cols : Buf.ints; mutable checked : bool }
+  type t = { n : int; row_ptr : int array; cols : Buf.i32; mutable checked : bool }
   (** [checked] caches a successful {!check_t} pass; the CSR arrays are
       immutable after construction, so the O(n + m) invariant scan runs
       once per graph rather than once per kernel call (at n = 10^6 every
       scan walks ~10^9 entries). *)
 
-  val make : n:int -> row_ptr:int array -> cols:Buf.ints -> t
+  val max_vertices : int
+  (** 2^31: int32 columns hold vertex ids below it. *)
+
+  val make : n:int -> row_ptr:int array -> cols:Buf.i32 -> t
   (** Validating constructor; raises [Invalid_argument] on any broken
-      CSR invariant (see {!check_t}). *)
+      CSR invariant (see {!check_t}) and on [n > max_vertices]. *)
 
   val check_t : t -> unit
   (** O(n + m) invariant scan: offsets monotone with the right endpoints,

@@ -29,7 +29,7 @@ let unsafe_head f =
 
 let length_names =
   [ "length"; "dim"; "dim1"; "word_length"; "i64_length"; "f64_length";
-    "int_length" ]
+    "int_length"; "i32_length" ]
 
 let length_prims =
   [ "%array_length"; "%bytes_length"; "%string_length"; "%caml_ba_dim_1" ]

@@ -359,6 +359,53 @@ let test_wht_f64_matches_float_and_no_alloc () =
     (Printf.sprintf "inplace_f64 allocates nothing (delta %.0f words)" delta)
     true (delta < 256.0)
 
+(* The CSR kernels read int32 columns.  Each read is
+   [Int32.to_int (Buf.i32_get ...)] on [external]s, which ocamlopt
+   compiles to one load with no box; an accessor function left
+   un-inlined would instead box every load (3 words each), which the
+   minor-word counts below catch.  Kernels that return a fresh array or
+   graph may allocate O(n) words (their outputs, per-row closures); none
+   may allocate per entry, and the graph has ~100 entries per row, so
+   boxed loads overshoot the O(n) budget several times over. *)
+let test_spgraph_int32_no_alloc () =
+  let n = 200 in
+  let sg = Sparse.sample_gnp (Prng.create 78) ~n ~p:0.5 in
+  let m = Bcc_kern.Spgraph.edge_count sg in
+  check_bool "dense enough to tell" true (m > 50 * n);
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let budget name ~limit delta =
+    check_bool
+      (Printf.sprintf "%s: %.0f minor words (limit %d, m = %d)" name delta
+         limit m)
+      true
+      (delta < float_of_int limit)
+  in
+  let hits = ref 0 in
+  budget "mem" ~limit:256
+    (words (fun () ->
+         for i = 0 to n - 1 do
+           for j = 0 to n - 1 do
+             if Bcc_kern.Spgraph.mem sg i j then incr hits
+           done
+         done));
+  check_int "mem finds every entry" m !hits;
+  budget "common_count" ~limit:256
+    (words (fun () ->
+         for i = 0 to n - 1 do
+           ignore (Bcc_kern.Spgraph.common_count sg i ((i * 7) mod n))
+         done));
+  let o = 32 * n in
+  budget "degree_sums" ~limit:o
+    (words (fun () -> ignore (Sparse.degree_sums sg)));
+  budget "bidirectional_core" ~limit:o
+    (words (fun () -> ignore (Bcc_kern.Spgraph.bidirectional_core sg)));
+  budget "count_triangles" ~limit:o
+    (words (fun () -> ignore (Bcc_kern.Spgraph.count_triangles sg)))
+
 (* ------------------------------------------------------------ mul_wide *)
 
 let test_mul_wide_vs_ref () =
@@ -514,6 +561,8 @@ let () =
           Alcotest.test_case "f64 vs oracle" `Quick test_buf_f64_vs_oracle;
           Alcotest.test_case "wht f64 exact and no-alloc" `Quick
             test_wht_f64_matches_float_and_no_alloc;
+          Alcotest.test_case "int32 csr kernels no-alloc" `Quick
+            test_spgraph_int32_no_alloc;
         ] );
       ( "slices",
         [

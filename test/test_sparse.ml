@@ -15,8 +15,8 @@ let with_domains domains f =
 let spgraph_equal (a : Bcc_kern.Spgraph.t) (b : Bcc_kern.Spgraph.t) =
   a.Bcc_kern.Spgraph.n = b.Bcc_kern.Spgraph.n
   && a.Bcc_kern.Spgraph.row_ptr = b.Bcc_kern.Spgraph.row_ptr
-  && Bcc_kern.Buf.int_to_array a.Bcc_kern.Spgraph.cols
-     = Bcc_kern.Buf.int_to_array b.Bcc_kern.Spgraph.cols
+  && Bcc_kern.Buf.i32_to_array a.Bcc_kern.Spgraph.cols
+     = Bcc_kern.Buf.i32_to_array b.Bcc_kern.Spgraph.cols
 
 let digraph_equal a b =
   let n = Digraph.vertex_count a in
@@ -99,7 +99,7 @@ let test_degree_sums_vs_dense () =
   check_bool "degree_sums" true (want = Sparse.degree_sums sg)
 
 let test_make_rejects_malformed () =
-  let ints l = Bcc_kern.Buf.int_of_array (Array.of_list l) in
+  let ints l = Bcc_kern.Buf.i32_of_array (Array.of_list l) in
   let expect_invalid name f =
     check_bool name true
       (match f () with
@@ -280,6 +280,111 @@ let test_sample_planted_sharded () =
         cs)
     [ 1; 2; 42 ]
 
+(* ------------------------------------------------- fused clique overlay *)
+
+(* Both planted samplers union the clique inside the CSR build
+   ([Sparse.csr_of_shards]); Oracle_sparse keeps the old
+   sample-then-overlay form.  The two must agree on every byte of
+   [row_ptr] and [cols], on the clique, and on the generator's end
+   state. *)
+
+(* Sampled pairs of the base G(n, p) a planted call at [seed] draws (the
+   subset comes first): which side of the build's 2^20-pair branch the
+   case lands on. *)
+let base_pairs sample ~n ~p ~k seed =
+  let g = Prng.create seed in
+  ignore (Prng.subset g ~n ~k);
+  Sparse.edge_count (sample g ~n ~p) / 2
+
+(* The first seed whose planted subset holds both 0 and n - 1. *)
+let seed_with_ends ~n ~k =
+  let rec go s =
+    let c = Prng.subset (Prng.create s) ~n ~k in
+    if List.mem 0 c && List.mem (n - 1) c then s else go (s + 1)
+  in
+  go 1
+
+let check_fused name ~fused ~oracle ~base ~bucketed (n, p, k, seed) =
+  let label = Printf.sprintf "%s n=%d p=%g k=%d seed=%d" name n p k seed in
+  check_bool (label ^ " branch") bucketed
+    (base_pairs base ~n ~p ~k seed >= 1 lsl 20);
+  let gf = Prng.create seed and go = Prng.create seed in
+  let a, ca = fused gf ~n ~p ~k in
+  let b, cb = oracle go ~n ~p ~k in
+  check_ints (label ^ " clique") cb ca;
+  check_bool (label ^ " row_ptr and cols") true (spgraph_equal a b);
+  check_bool (label ^ " end state") true (Prng.bits64 gf = Prng.bits64 go)
+
+(* Under 2^20 pairs: k in {0, 1, 2} and a larger clique, p in {0, 1}
+   and a sparse p, cliques holding vertices 0 and n - 1, and the clique
+   covering every vertex. *)
+let direct_cases () =
+  List.concat_map
+    (fun k -> [ (64, 0.1, k, 1); (64, 0.1, k, 42); (64, 0.0, k, 2); (48, 1.0, k, 3) ])
+    [ 0; 1; 2; 20 ]
+  @ [
+      (64, 0.1, 48, seed_with_ends ~n:64 ~k:48);
+      (48, 1.0, 40, seed_with_ends ~n:48 ~k:40);
+      (64, 0.0, 64, 5);
+      (64, 0.1, 64, 6);
+    ]
+
+(* At or above 2^20 pairs: the bucketed fill, with the same spread. *)
+let bucketed_cases () =
+  [
+    (4096, 0.15, 0, 7);
+    (4096, 0.15, 1, 7);
+    (4096, 0.15, 2, 7);
+    (4096, 0.15, 64, 8);
+    (2048, 0.6, 1500, seed_with_ends ~n:2048 ~k:1500);
+    (1500, 1.0, 2, 9);
+  ]
+
+let test_fused_planted () =
+  let run bucketed =
+    check_fused "sample_planted" ~fused:Sparse.sample_planted
+      ~oracle:Oracle_sparse.sample_planted
+      ~base:(fun g ~n ~p -> Sparse.sample_gnp g ~n ~p)
+      ~bucketed
+  in
+  List.iter (run false) (direct_cases ());
+  List.iter (run true) (bucketed_cases ())
+
+let test_fused_planted_sharded () =
+  let run bucketed =
+    check_fused "sample_planted_sharded" ~fused:Sparse.sample_planted_sharded
+      ~oracle:Oracle_sparse.sample_planted_sharded
+      ~base:Sparse.sample_gnp_sharded ~bucketed
+  in
+  List.iter (run false) (direct_cases ());
+  List.iter (run true) (bucketed_cases ())
+
+(* n past the int32 column range: [Spgraph.make] and every sampler
+   refuse it with a one-line [Invalid_argument], before any draw. *)
+let test_n_beyond_int32 () =
+  let n = Bcc_kern.Spgraph.max_vertices + 1 in
+  let one_line name f =
+    match f () with
+    | exception Invalid_argument msg ->
+        check_bool (name ^ ": one-line message") true
+          (msg <> "" && not (String.contains msg '\n'))
+    | _ -> Alcotest.failf "%s accepted n = 2^31 + 1" name
+  in
+  one_line "Spgraph.make" (fun () ->
+      Bcc_kern.Spgraph.make ~n ~row_ptr:[||] ~cols:(Bcc_kern.Buf.i32_create 0));
+  let g = Prng.create 1 in
+  let probe = Prng.bits64 (Prng.copy g) in
+  one_line "sample_gnp" (fun () -> Sparse.sample_gnp g ~n ~p:0.0);
+  one_line "sample_gnp_scalar" (fun () -> Sparse.sample_gnp_scalar g ~n ~p:0.0);
+  one_line "sample_gnp_sharded" (fun () -> Sparse.sample_gnp_sharded g ~n ~p:0.0);
+  one_line "sample_planted" (fun () -> fst (Sparse.sample_planted g ~n ~p:0.0 ~k:0));
+  one_line "sample_planted_sharded" (fun () ->
+      fst (Sparse.sample_planted_sharded g ~n ~p:0.0 ~k:0));
+  check_bool "no draw before the rejection" true (Prng.bits64 g = probe);
+  one_line "Buf.i32_of_array" (fun () ->
+      Bcc_kern.Spgraph.make ~n:1 ~row_ptr:[| 0; 1 |]
+        ~cols:(Bcc_kern.Buf.i32_of_array [| 1 lsl 31 |]))
+
 (* ------------------------------------------------- kernel equality *)
 
 (* The n <= 512 oracle battery: every sparse kernel against its dense
@@ -429,7 +534,7 @@ let test_kernels_pool_independent () =
     let core = Bcc_kern.Spgraph.bidirectional_core sg in
     ( Bcc_kern.Spgraph.count_triangles core,
       Bcc_kern.Spgraph.count_k4 core,
-      Bcc_kern.Buf.int_to_array core.Bcc_kern.Spgraph.cols )
+      Bcc_kern.Buf.i32_to_array core.Bcc_kern.Spgraph.cols )
   in
   let t1, q1, c1 = with_domains 1 run in
   let t4, q4, c4 = with_domains 4 run in
@@ -512,6 +617,15 @@ let () =
             test_sharded_edge_count_sane;
           Alcotest.test_case "sample_planted_sharded" `Quick
             test_sample_planted_sharded;
+        ] );
+      ( "fused overlay",
+        [
+          Alcotest.test_case "planted = sample, overlay" `Quick
+            test_fused_planted;
+          Alcotest.test_case "sharded planted = sample, overlay" `Quick
+            test_fused_planted_sharded;
+          Alcotest.test_case "n beyond int32 rejected" `Quick
+            test_n_beyond_int32;
         ] );
       ( "kernel oracle",
         [
