@@ -11,6 +11,26 @@
 
 open Cmdliner
 
+(* -------------------------------------------------------- output paths *)
+
+(* Every file-writing option (run --artifacts, trace --out, prof --out)
+   writes through here: a path that cannot be written ends in one line
+   naming it and exit 123, never an uncaught exception. *)
+let writing path f =
+  let fail reason =
+    Format.eprintf "bcc_cli: cannot write %s: %s@." path reason;
+    exit Cmd.Exit.some_error
+  in
+  try f () with
+  | Sys_error msg ->
+      let prefix = path ^ ": " in
+      let n = String.length prefix in
+      fail
+        (if String.starts_with ~prefix msg then
+           String.sub msg n (String.length msg - n)
+         else msg)
+  | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+
 (* ----------------------------------------------------------------- run *)
 
 let run_experiments list_only csv artifacts_dir ids seed =
@@ -34,7 +54,9 @@ let run_experiments list_only csv artifacts_dir ids seed =
             else Experiments.print Format.std_formatter table;
             Option.iter
               (fun dir ->
-                let path = Experiments.write_artifact ~dir ~seed table in
+                let path =
+                  writing dir (fun () -> Experiments.write_artifact ~dir ~seed table)
+                in
                 Format.eprintf "wrote %s@." path)
               artifacts_dir
         | None ->
@@ -110,14 +132,12 @@ let run_trace list_only jsonl out proto seed =
         | None ->
             print_string text;
             Ok ()
-        | Some path -> (
-            try
-              let oc = open_out path in
-              output_string oc text;
-              close_out oc;
-              Format.eprintf "wrote %s@." path;
-              Ok ()
-            with Sys_error msg -> Error (`Msg msg)))
+        | Some path ->
+            writing path (fun () ->
+                Out_channel.with_open_text path (fun oc ->
+                    output_string oc text));
+            Format.eprintf "wrote %s@." path;
+            Ok ())
 
 let trace_list_arg =
   let doc = "List the traceable protocol names and exit." in
@@ -395,15 +415,14 @@ let run_prof list_only dir top target seed =
         let trace_path =
           Filename.concat dir (Printf.sprintf "PROF_%s.trace.json" name)
         in
-        try
-          Artifact.write_file ~path:json_path (Prof.to_artifact ~id:name ~seed r);
-          let oc = open_out trace_path in
-          output_string oc (Prof.to_perfetto ());
-          output_string oc "\n";
-          close_out oc;
-          Format.eprintf "wrote %s@.wrote %s@." json_path trace_path;
-          Ok ()
-        with Sys_error msg -> Error (`Msg msg))
+        writing json_path (fun () ->
+            Artifact.write_file ~path:json_path (Prof.to_artifact ~id:name ~seed r));
+        writing trace_path (fun () ->
+            Out_channel.with_open_text trace_path (fun oc ->
+                output_string oc (Prof.to_perfetto ());
+                output_string oc "\n"));
+        Format.eprintf "wrote %s@.wrote %s@." json_path trace_path;
+        Ok ())
 
 let prof_list_arg =
   let doc = "List the profilable targets (experiment ids, then protocols)." in
@@ -476,13 +495,20 @@ let cmd =
       Cmd.Env.info "BCC_E31_N"
         ~doc:
           "Vertex count of experiment e31, an integer in [4096, 1000000] \
-           (default 1000000, which needs ~16 GB).";
+           (default 1000000, which needs ~6 GB).";
     ]
   in
   let exits =
     Cmd.Exit.info Env_knob.exit_code
       ~doc:"when an environment variable above is not an integer in its range."
-    :: Cmd.Exit.defaults
+    :: Cmd.Exit.info Cmd.Exit.some_error
+         ~doc:
+           "when an output path ($(b,run --artifacts), $(b,trace --out), \
+            $(b,prof --out)) cannot be written, or on other errors reported \
+            on standard error."
+    :: List.filter
+         (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error)
+         Cmd.Exit.defaults
   in
   let info = Cmd.info "bcc_cli" ~doc ~envs ~exits in
   Cmd.group ~default:run_term info

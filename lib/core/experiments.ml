@@ -1437,12 +1437,13 @@ let e31_million_vertex ?(seed = 42) () =
   let module R = Clique.Recover (Graph_backend.Sparse_backend) in
   let g = Prng.create seed in
   let rows = ref [] in
-  (* The million-vertex rung.  Scale knob: the full size needs ~16 GB of
-     working set (the CSR alone is 8 GB), so constrained hosts — the CI
-     cross-domain byte-diff runners in particular — set BCC_E31_N to a
-     smaller n.  The sharded sampler and the recovery pipeline are the
-     same code at every n, so the byte-identity check binds just as hard
-     at the reduced size; the artifact records which n it measured. *)
+  (* The million-vertex rung.  Scale knob: the full size needs ~6 GB of
+     working set (the int32 pair stream 2 GB, the int32 CSR columns
+     4 GB), so constrained hosts — the CI cross-domain byte-diff runners
+     in particular — set BCC_E31_N to a smaller n.  The sharded sampler
+     and the recovery pipeline are the same code at every n, so the
+     byte-identity check binds just as hard at the reduced size; the
+     artifact records which n it measured. *)
   let n = Option.value (Env_knob.e31_n ()) ~default:1_000_000 in
   let p = 1.0 /. Float.sqrt (foi n) in
   (* k = 16 n^{1/4} keeps the margin scale-free: expected clique degree

@@ -152,12 +152,14 @@ let iter_stream_rows (shards : shard array) f =
    fit in cache, and every backward entry (j, i) is scattered straight
    to its slot.  Above that a direct scatter costs a DRAM round trip per
    pair (~43 ns at the 10^6 rung), so the backward entries are first
-   partitioned into row-range buckets (wide sequential writes), one
-   native int [(j lsl 31) lor i] each, then scattered bucket by bucket
-   while the bucket's rows and cursors stay cache-resident — memory-
-   bandwidth bound.  Bucketing keeps stream order inside a bucket, so
-   rows still come out ascending. *)
-(* bcc-lint: allow kern/unsafe-index — iter_stream_rows hands out e + c <= the shard's pair count <= Buf.i32_length js; every cols index is a cursor inside its row's slots [row_ptr.(i), row_ptr.(i + 1)), which partition row_ptr.(n) = Buf.i32_length cols; packed indices are bucket cursors below the bucket prefix sums, which total m = Buf.int_length packed *)
+   partitioned into row-range buckets (wide sequential writes), then
+   scattered bucket by bucket while the bucket's rows and cursors stay
+   cache-resident — memory-bandwidth bound.  The partition needs no
+   buffer of its own: every backward entry of bucket b lands in one of
+   the bucket's rows, so the head of the bucket's own slots in [cols]
+   has room for all of them, one 32-bit word each.  Bucketing keeps
+   stream order inside a bucket, so rows still come out ascending. *)
+(* bcc-lint: allow kern/unsafe-index — iter_stream_rows hands out e + c <= the shard's pair count <= Buf.i32_length js; every cols index is a cursor inside its row's slots [row_ptr.(i), row_ptr.(i + 1)), which partition row_ptr.(n) = Buf.i32_length cols, or a bucket cursor below row_ptr.(b lsl shift) + bcount.(b) <= the bucket's own slot end; scratch indices are below bcount.(b) <= Buf.i32_length scratch, the largest bucket count *)
 let csr_of_shards ~n ~clique (shards : shard array) =
   let kc = Array.length clique in
   let in_c = Bytes.make (if kc = 0 then 0 else n) '\000' in
@@ -170,12 +172,16 @@ let csr_of_shards ~n ~clique (shards : shard array) =
     clique;
   let m = Array.fold_left (fun acc (_, _, _, ms) -> acc + ms) 0 shards in
   (* Bucket width: the smallest power-of-two row range that keeps the
-     bucket count within [target] — a function of n and m only. *)
+     bucket count within [target] — a function of n and m only — capped
+     at 32 - ibits bits so a packed (row offset, i) word fits in 32. *)
   let target = max 1 (min 1024 (m / (1 lsl 18))) in
   let top = max 0 (n - 1) in
+  let ibits = ref 0 in
+  while top lsr !ibits > 0 do incr ibits done;
+  let ibits = !ibits in
   let shift = ref 0 in
   while (top lsr !shift) + 1 > target do incr shift done;
-  let shift = !shift in
+  let shift = min !shift (32 - ibits) in
   let nb = (top lsr shift) + 1 in
   (* Count pass.  [deg.(i)]: row i's sampled entries; [res.(i)]: the
      clique entries row i still lacks. *)
@@ -214,36 +220,53 @@ let csr_of_shards ~n ~clique (shards : shard array) =
           cursor.(j) <- cursor.(j) + 1
         done)
   else begin
-    (* Partition pass: pack (j, i) and append it to j's bucket. *)
-    let bcur = Array.make nb 0 in
-    for b = 1 to nb - 1 do
-      bcur.(b) <- bcur.(b - 1) + bcount.(b - 1)
-    done;
-    let packed = Buf.int_create_uninit m in
+    (* Partition pass: each backward entry (j, i) becomes the word
+       ((j - b lsl shift) lsl ibits) lor i at the head of its bucket b's
+       slots. *)
+    let bcur = Array.init nb (fun b -> row_ptr.(b lsl shift)) in
+    let omask = (1 lsl shift) - 1 in
     iter_stream_rows shards (fun i js e c ->
         for d = e to e + c - 1 do
           let j = Int32.to_int (Buf.i32_get js d) in
           let b = j lsr shift in
-          Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
+          let w = ((j land omask) lsl ibits) lor i in
+          Buf.i32_set cols bcur.(b) (Int32.of_int w);
           bcur.(b) <- bcur.(b) + 1
         done);
-    (* Backward fill, bucket by bucket: every row's smaller
-       neighbours. *)
-    let mask31 = (1 lsl 31) - 1 in
-    for e = 0 to m - 1 do
-      let w = Buf.int_get packed e in
-      let j = w lsr 31 in
-      Buf.i32_set cols cursor.(j) (Int32.of_int (w land mask31));
-      cursor.(j) <- cursor.(j) + 1
-    done;
-    (* Forward fill: the larger neighbours follow, straight from the
-       stream — sequential read, near-sequential write. *)
+    (* Fill pass, in row order.  Before bucket b's first row takes its
+       forward entries (the larger neighbours, straight from the
+       stream), the bucket's words are copied to [scratch], since the
+       scatter overwrites them, and scattered through the cursors as its
+       rows' backward entries (the smaller neighbours). *)
+    let scratch =
+      Buf.i32_create_uninit (max 1 (Array.fold_left max 0 bcount))
+    in
+    let imask = (1 lsl ibits) - 1 in
+    let next = ref 0 in
+    let scatter_through last =
+      while !next <= last do
+        let b = !next in
+        let base = b lsl shift and cnt = bcount.(b) in
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub cols row_ptr.(base) cnt)
+          (Bigarray.Array1.sub scratch 0 cnt);
+        for e = 0 to cnt - 1 do
+          let w = Int32.to_int (Buf.i32_get scratch e) land 0xFFFF_FFFF in
+          let j = base + (w lsr ibits) in
+          Buf.i32_set cols cursor.(j) (Int32.of_int (w land imask));
+          cursor.(j) <- cursor.(j) + 1
+        done;
+        incr next
+      done
+    in
     iter_stream_rows shards (fun i js e c ->
+        scatter_through (i lsr shift);
         let base = cursor.(i) in
         for d = 0 to c - 1 do
           Buf.i32_set cols (base + d) (Buf.i32_get js (e + d))
         done;
-        cursor.(i) <- base + c)
+        cursor.(i) <- base + c);
+    scatter_through (nb - 1)
   end;
   (* Clique merge, from the end of each clique row: its [deg.(v)]
      sampled entries sit ascending at the head and its slot count is the

@@ -234,6 +234,36 @@ let test_cli_rejects_bad_knobs () =
   Alcotest.(check int) "a valid knob runs" 0
     (Sys.command "BCC_DOMAINS=2 ../bin/bcc_cli.exe --list > /dev/null")
 
+(* Unwritable output paths: every file-writing option ends in one line
+   naming the path and exit 123 (cmdliner's "errors reported on standard
+   error"), not an uncaught Unix_error or Sys_error (exit 125).  A path
+   under a regular file is unwritable for any user; the run and prof
+   cases fail in mkdir (Unix_error), the trace case in open (Sys_error). *)
+let test_cli_unwritable_outputs () =
+  let file = Filename.temp_file "bcc_out" ".txt" in
+  let err_file = Filename.temp_file "bcc_out" ".err" in
+  let bad = Filename.concat file "x" in
+  List.iter
+    (fun args ->
+      let cmd =
+        Printf.sprintf "../bin/bcc_cli.exe %s > /dev/null 2> %s" args
+          (Filename.quote err_file)
+      in
+      Alcotest.(check int) args 123 (Sys.command cmd);
+      let err = String.trim (In_channel.with_open_text err_file In_channel.input_all) in
+      Alcotest.(check int) (args ^ ": one line") 1
+        (List.length (String.split_on_char '\n' err));
+      check_bool (args ^ ": names the path") true
+        (String.starts_with ~prefix:("bcc_cli: cannot write " ^ bad) err))
+    [
+      "run e1 --artifacts " ^ Filename.quote bad;
+      "trace equality-det --seed 7 --out " ^ Filename.quote bad;
+      "trace equality-det --seed 7 --jsonl -o " ^ Filename.quote bad;
+      "prof e1 --out " ^ Filename.quote bad;
+    ];
+  Sys.remove file;
+  Sys.remove err_file
+
 let () =
   Alcotest.run "robustness"
     [
@@ -264,5 +294,10 @@ let () =
         [
           Alcotest.test_case "parser rejects out of range" `Quick test_env_knob_parser;
           Alcotest.test_case "cli exit code" `Quick test_cli_rejects_bad_knobs;
+        ] );
+      ( "output paths",
+        [
+          Alcotest.test_case "unwritable paths exit 123" `Quick
+            test_cli_unwritable_outputs;
         ] );
     ]

@@ -359,6 +359,36 @@ let test_fused_planted_sharded () =
   List.iter (run false) (direct_cases ());
   List.iter (run true) (bucketed_cases ())
 
+(* Bucket widths capped by the 32-bit packed word: when
+   32 - bits(n - 1) is below the cache-target shift, the bucketed
+   build runs on more, narrower buckets.  Just above 2^20 pairs at
+   n = 2^18, 2^21 and 2^22 + 17, [sample_gnp] (the bucketed build) must
+   match [sample_gnp_scalar] (the direct builder) on every byte and on
+   the generator's end state.  [cache_shift] restates the build's
+   width rule so the test asserts that the cap binds. *)
+let cache_shift ~n ~m =
+  let target = max 1 (min 1024 (m / (1 lsl 18))) in
+  let s = ref 0 in
+  while ((n - 1) lsr !s) + 1 > target do incr s done;
+  !s
+
+let test_width_capped_buckets () =
+  List.iter
+    (fun (n, p, seed) ->
+      let label = Printf.sprintf "n=%d p=%g seed=%d" n p seed in
+      let gb = Prng.create seed and gs = Prng.create seed in
+      let b = Sparse.sample_gnp gb ~n ~p in
+      let s = Sparse.sample_gnp_scalar gs ~n ~p in
+      let m = Sparse.edge_count s / 2 in
+      let ibits = ref 0 in
+      while (n - 1) lsr !ibits > 0 do incr ibits done;
+      check_bool (label ^ " bucketed") true (m >= 1 lsl 20);
+      check_bool (label ^ " width capped") true
+        (32 - !ibits < cache_shift ~n ~m);
+      check_bool (label ^ " row_ptr and cols") true (spgraph_equal b s);
+      check_bool (label ^ " end state") true (Prng.bits64 gb = Prng.bits64 gs))
+    [ (1 lsl 18, 3.2e-5, 1); (1 lsl 21, 6e-7, 2); ((1 lsl 22) + 17, 1.2e-7, 3) ]
+
 (* n past the int32 column range: [Spgraph.make] and every sampler
    refuse it with a one-line [Invalid_argument], before any draw. *)
 let test_n_beyond_int32 () =
@@ -626,6 +656,8 @@ let () =
             test_fused_planted_sharded;
           Alcotest.test_case "n beyond int32 rejected" `Quick
             test_n_beyond_int32;
+          Alcotest.test_case "width-capped buckets = direct" `Quick
+            test_width_capped_buckets;
         ] );
       ( "kernel oracle",
         [
