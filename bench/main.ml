@@ -13,9 +13,11 @@
    Monte-Carlo loops, pinning the results (which must not move) and
    recording wall-clock per domain count (BENCH_par.json).
 
-   Part 4 sweeps the Bcc_kern kernels against their naive Ref oracles
-   (BENCH_kern.json), checking agreement in-run: any kernel/oracle
-   mismatch makes the process exit nonzero.
+   Part 4 sweeps the Bcc_kern kernels against their naive Kern_ref
+   oracles (bench/oracle; BENCH_kern.json), checking agreement in-run:
+   any kernel/oracle mismatch makes the process exit nonzero.  Parts 4-6b
+   are rows of one sweep table run by one harness ([sweeps],
+   [run_sweep]).
 
    Part 5 does the same for the packed graph kernels — A land A^T core,
    triangle/K4 counting, scratch-stack Bron-Kerbosch (BENCH_graph.json).
@@ -90,38 +92,6 @@ let run_tables () =
 let naive_transform f =
   let n = Boolfun.arity f in
   Array.init (1 lsl n) (fun s -> Fourier.coefficient f s)
-
-(* Naive rank over bool matrices, the ablation baseline for the
-   bit-packed Gaussian elimination. *)
-let naive_rank rows cols get =
-  let work = Array.init rows (fun i -> Array.init cols (fun j -> get i j)) in
-  let rank = ref 0 in
-  let col = ref 0 in
-  while !rank < rows && !col < cols do
-    let pivot = ref (-1) in
-    (try
-       for i = !rank to rows - 1 do
-         if work.(i).(!col) then begin
-           pivot := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !pivot >= 0 then begin
-      let tmp = work.(!rank) in
-      work.(!rank) <- work.(!pivot);
-      work.(!pivot) <- tmp;
-      for i = 0 to rows - 1 do
-        if i <> !rank && work.(i).(!col) then
-          for j = 0 to cols - 1 do
-            work.(i).(j) <- work.(i).(j) <> work.(!rank).(j)
-          done
-      done;
-      incr rank
-    end;
-    incr col
-  done;
-  !rank
 
 let micro_tests () =
   let g = Prng.create 99 in
@@ -233,8 +203,14 @@ let micro_tests () =
             fun () -> naive_transform f8));
       Test.make ~name:"ablation:rank-bitpacked"
         (Staged.stage (fun () -> Gf2_matrix.rank mat128));
+      (* Scalar bool elimination, the ablation baseline for the
+         bit-packed Gaussian elimination. *)
       Test.make ~name:"ablation:rank-naive"
-        (Staged.stage (fun () -> naive_rank 128 128 (Gf2_matrix.get mat128)));
+        (Staged.stage
+           (let bools =
+              Array.init 128 (fun i -> Array.init 128 (Gf2_matrix.get mat128 i))
+            in
+            fun () -> Kern_ref.rank_bools bools));
       Test.make ~name:"ablation:transcript-sampled"
         (Staged.stage (fun () ->
              Turn_model.sampled_transcript_dist turn_proto
@@ -502,12 +478,28 @@ let run_par () =
 
 (* ------------------------------------------------- kernel-vs-oracle *)
 
-type kern_row = {
+(* Parts 4-6b share one harness: a sweep is a table of kernel/oracle
+   cases, and [run_sweep] times each pair, prints it, checks agreement
+   and writes BENCH_<id>.json.  Any mismatch makes the process exit
+   nonzero. *)
+
+(* One row of a sweep, with its inputs already built: [measure reps]
+   returns the oracle and kernel wall-clock in ns and whether their
+   results agree. *)
+type kern_case = {
   group : string;
   case : string;
-  naive_ns : float;
-  kern_ns : float;
-  agree : bool;
+  measure : int -> float * float * bool;
+}
+
+type sweep = {
+  id : string;  (* bench subcommand, BENCH_<id>.json, BENCH.json section *)
+  title : string;
+  columns : string * string;  (* oracle and kernel column labels *)
+  mismatch : string;  (* what disagreed, for the mismatch line *)
+  quick_reps : int;
+  full_reps : int;
+  cases : quick:bool -> kern_case list;
 }
 
 (* Warm once (that run's value is the one compared), then best-of-[reps]
@@ -521,15 +513,65 @@ let time_best ~reps f =
   done;
   (v, !best *. 1e9)
 
-let kern_case ~reps ~group ~case ~naive ~kern ~equal =
-  let nv, naive_ns = time_best ~reps naive in
-  let kv, kern_ns = time_best ~reps kern in
-  let agree = equal nv kv in
-  (* bcc-lint: allow det/float-format — human console report; the JSON mirror goes through Artifact *)
-  Format.printf "%-12s %-16s %14.0f %14.0f %9.1fx %s@." group case naive_ns
-    kern_ns (naive_ns /. kern_ns)
-    (if agree then "ok" else "MISMATCH");
-  { group; case; naive_ns; kern_ns; agree }
+let kern_case ~group ~case ~naive ~kern ~equal =
+  let measure reps =
+    let nv, naive_ns = time_best ~reps naive in
+    let kv, kern_ns = time_best ~reps kern in
+    (naive_ns, kern_ns, equal nv kv)
+  in
+  { group; case; measure }
+
+let run_sweep ~quick s =
+  Format.printf "=====================================================@.";
+  Format.printf " %s@." s.title;
+  Format.printf "=====================================================@.";
+  let reps = if quick then s.quick_reps else s.full_reps in
+  let naive_label, kern_label = s.columns in
+  Format.printf "%-16s %-16s %14s %14s %10s@." "group" "case" naive_label
+    kern_label "speedup";
+  Format.printf "%s@." (String.make 76 '-');
+  let rows =
+    List.map
+      (fun c ->
+        let naive_ns, kern_ns, agree = c.measure reps in
+        (* bcc-lint: allow det/float-format — human console report; the JSON mirror goes through Artifact *)
+        Format.printf "%-16s %-16s %14.0f %14.0f %9.1fx %s@." c.group c.case
+          naive_ns kern_ns (naive_ns /. kern_ns)
+          (if agree then "ok" else "MISMATCH");
+        (c, naive_ns, kern_ns, agree))
+      (s.cases ~quick)
+  in
+  let all_agree = List.for_all (fun (_, _, _, agree) -> agree) rows in
+  let json =
+    Artifact.List
+      (List.map
+         (fun (c, naive_ns, kern_ns, agree) ->
+           Artifact.Obj
+             [
+               ("group", Artifact.String c.group);
+               ("case", Artifact.String c.case);
+               ("naive_ns", Artifact.Float naive_ns);
+               ("kern_ns", Artifact.Float kern_ns);
+               ("speedup", Artifact.Float (naive_ns /. kern_ns));
+               ("agree", Artifact.Bool agree);
+             ])
+         rows)
+  in
+  let file = Printf.sprintf "BENCH_%s.json" s.id in
+  Artifact.write_file
+    ~path:(Filename.concat Artifact.default_dir file)
+    (Artifact.make ~kind:"bench" ~id:s.id
+       ~params:
+         [
+           ("repetitions", Artifact.Int reps);
+           ("quick", Artifact.Bool quick);
+         ]
+       json);
+  Format.printf "@.artifact written to %s/%s@." Artifact.default_dir file;
+  if not all_agree then
+    Format.printf "%s MISMATCH — see the rows marked MISMATCH@." s.mismatch;
+  Format.printf "@.";
+  (json, all_agree)
 
 (* The pre-kernel Lemma 1.10 measurement, float-op-for-float-op: the same
    counts via per-input oracles, combined in the same order, so the kernel
@@ -540,8 +582,8 @@ let naive_lemma_1_10_measured f =
   let eval = Boolfun.eval_int f in
   let total = ref 0.0 in
   for i = 0 to n - 1 do
-    let all = Bcc_kern.Ref.count_true ~n eval in
-    let forced = Bcc_kern.Ref.count_forced_ones ~n ~mask:(1 lsl i) eval in
+    let all = Kern_ref.count_true ~n eval in
+    let forced = Kern_ref.count_forced_ones ~n ~mask:(1 lsl i) eval in
     total :=
       !total
       +. Float.abs
@@ -550,258 +592,184 @@ let naive_lemma_1_10_measured f =
   done;
   !total /. float_of_int n
 
-let run_kern ~quick () =
-  Format.printf "=====================================================@.";
-  Format.printf " Kernel sweep (Bcc_kern vs naive Ref oracles)@.";
-  Format.printf "=====================================================@.";
-  (* Best-of-5 even in quick mode: single-core VM timing is noisy enough
-     that best-of-3 ratios swing ~2x run to run, which is what the
-     compare gate's tolerance has to absorb. *)
-  let reps = if quick then 5 else 7 in
+(* Part 4: the Bcc_kern GF(2), enumeration, WHT and counting kernels vs
+   their Kern_ref oracles.  Inputs draw from one generator, so the row
+   groups are built in table order. *)
+let kern_cases ~quick =
   let g = Prng.create 2025 in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  Format.printf "%-12s %-16s %14s %14s %10s@." "group" "case" "naive ns"
-    "kernel ns" "speedup";
-  Format.printf "%s@." (String.make 76 '-');
   (* GF(2) rank: packed forward elimination vs scalar bool elimination. *)
-  List.iter
-    (fun n ->
-      let m = Gf2_matrix.random g ~rows:n ~cols:n in
-      let bools =
-        Array.init n (fun i -> Array.init n (fun j -> Gf2_matrix.get m i j))
-      in
-      add
-        (kern_case ~reps ~group:"gf2-rank"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> Bcc_kern.Ref.rank_bools bools)
-           ~kern:(fun () -> Gf2_matrix.rank m)
-           ~equal:Int.equal))
-    (if quick then [ 48; 128 ] else [ 48; 128; 256 ]);
+  let rank =
+    List.map
+      (fun n ->
+        let m = Gf2_matrix.random g ~rows:n ~cols:n in
+        let bools =
+          Array.init n (fun i -> Array.init n (fun j -> Gf2_matrix.get m i j))
+        in
+        kern_case ~group:"gf2-rank"
+          ~case:(Printf.sprintf "n=%d" n)
+          ~naive:(fun () -> Kern_ref.rank_bools bools)
+          ~kern:(fun () -> Gf2_matrix.rank m)
+          ~equal:Int.equal)
+      (if quick then [ 48; 128 ] else [ 48; 128; 256 ])
+  in
   (* GF(2) multiply: M4RM vs row-at-a-time xor-accumulate. *)
-  List.iter
-    (fun n ->
-      let a = Gf2_matrix.random g ~rows:n ~cols:n in
-      let b = Gf2_matrix.random g ~rows:n ~cols:n in
-      let ra = Array.init n (Gf2_matrix.row a) in
-      let rb = Array.init n (Gf2_matrix.row b) in
-      add
-        (kern_case ~reps ~group:"gf2-mul"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> Bcc_kern.Ref.mul_rows ra rb ~cols:n)
-           ~kern:(fun () -> Gf2_matrix.mul a b)
-           ~equal:(fun rs m ->
-             let ok = ref (Array.length rs = Gf2_matrix.rows m) in
-             Array.iteri
-               (fun i r ->
-                 if !ok && not (Bitvec.equal r (Gf2_matrix.row m i)) then
-                   ok := false)
-               rs;
-             !ok)))
-    [ 64; 128; 256 ];
+  let mul =
+    List.map
+      (fun n ->
+        let a = Gf2_matrix.random g ~rows:n ~cols:n in
+        let b = Gf2_matrix.random g ~rows:n ~cols:n in
+        let ra = Array.init n (Gf2_matrix.row a) in
+        let rb = Array.init n (Gf2_matrix.row b) in
+        kern_case ~group:"gf2-mul"
+          ~case:(Printf.sprintf "n=%d" n)
+          ~naive:(fun () -> Kern_ref.mul_rows ra rb ~cols:n)
+          ~kern:(fun () -> Gf2_matrix.mul a b)
+          ~equal:(fun rs m ->
+            let ok = ref (Array.length rs = Gf2_matrix.rows m) in
+            Array.iteri
+              (fun i r ->
+                if !ok && not (Bitvec.equal r (Gf2_matrix.row m i)) then
+                  ok := false)
+              rs;
+            !ok))
+      [ 64; 128; 256 ]
+  in
   (* E1/E2 enumeration: packed sub-cube counts vs per-input table probes. *)
-  List.iter
-    (fun n ->
-      let f = Boolfun.random g n in
-      add
-        (kern_case ~reps ~group:"e1-enum"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> naive_lemma_1_10_measured f)
-           ~kern:(fun () -> (Lemma_verify.lemma_1_10 f).Lemma_verify.measured)
-           ~equal:Float.equal))
-    (if quick then [ 12; 16 ] else [ 12; 16; 18 ]);
+  let enum =
+    List.map
+      (fun n ->
+        let f = Boolfun.random g n in
+        kern_case ~group:"e1-enum"
+          ~case:(Printf.sprintf "n=%d" n)
+          ~naive:(fun () -> naive_lemma_1_10_measured f)
+          ~kern:(fun () -> (Lemma_verify.lemma_1_10 f).Lemma_verify.measured)
+          ~equal:Float.equal)
+      (if quick then [ 12; 16 ] else [ 12; 16; 18 ])
+  in
   (* WHT: cache-blocked (and >= 2^16, domain-parallel) butterflies vs the
      plain doubling loop.  0/1 inputs keep every intermediate exact, so
      equality is bitwise. *)
-  List.iter
-    (fun logn ->
-      let len = 1 lsl logn in
-      let base = Array.init len (fun _ -> if Prng.bool g then 1.0 else 0.0) in
-      add
-        (kern_case ~reps ~group:"wht"
-           ~case:(Printf.sprintf "len=2^%d" logn)
-           ~naive:(fun () ->
-             let a = Array.copy base in
-             Bcc_kern.Ref.wht_butterfly a;
-             a)
-           ~kern:(fun () ->
-             let a = Array.copy base in
-             Fourier.wht_inplace a;
-             a)
-           ~equal:(fun a b -> a = b)))
-    [ 14; 16; 18 ];
+  let wht =
+    List.map
+      (fun logn ->
+        let len = 1 lsl logn in
+        let base = Array.init len (fun _ -> if Prng.bool g then 1.0 else 0.0) in
+        kern_case ~group:"wht"
+          ~case:(Printf.sprintf "len=2^%d" logn)
+          ~naive:(fun () ->
+            let a = Array.copy base in
+            Kern_ref.wht_butterfly a;
+            a)
+          ~kern:(fun () ->
+            let a = Array.copy base in
+            Fourier.wht_inplace a;
+            a)
+          ~equal:(fun a b -> a = b))
+      [ 14; 16; 18 ]
+  in
   (* Full Fourier transform: packed-table fill + in-place float WHT vs
      the old float path (real table + butterfly + scale). *)
-  List.iter
-    (fun n ->
-      let f = Boolfun.random g n in
-      add
-        (kern_case ~reps ~group:"fourier"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () ->
-             let a = Fourier.real_table f in
-             Bcc_kern.Ref.wht_butterfly a;
-             let scale = 1.0 /. float_of_int (Array.length a) in
-             Array.map (fun v -> v *. scale) a)
-           ~kern:(fun () -> Fourier.transform f)
-           ~equal:(fun a b -> a = b)))
-    (if quick then [ 12 ] else [ 12; 16 ]);
+  let fourier =
+    List.map
+      (fun n ->
+        let f = Boolfun.random g n in
+        kern_case ~group:"fourier"
+          ~case:(Printf.sprintf "n=%d" n)
+          ~naive:(fun () ->
+            let a = Fourier.real_table f in
+            Kern_ref.wht_butterfly a;
+            let scale = 1.0 /. float_of_int (Array.length a) in
+            Array.map (fun v -> v *. scale) a)
+          ~kern:(fun () -> Fourier.transform f)
+          ~equal:(fun a b -> a = b))
+      (if quick then [ 12 ] else [ 12; 16 ])
+  in
   (* Batched threshold counting behind the distinguisher hit rates. *)
   let trials = if quick then 4096 else 65536 in
   let stats = Array.init trials (fun _ -> Prng.float g) in
   let threshold = 0.5 in
-  add
-    (kern_case ~reps ~group:"count-above"
-       ~case:(Printf.sprintf "trials=%d" trials)
-       ~naive:(fun () -> Bcc_kern.Ref.count_above stats ~threshold)
-       ~kern:(fun () -> Bcc_kern.Enum.count_above stats ~threshold)
-       ~equal:Int.equal);
+  let count_above =
+    kern_case ~group:"count-above"
+      ~case:(Printf.sprintf "trials=%d" trials)
+      ~naive:(fun () -> Kern_ref.count_above stats ~threshold)
+      ~kern:(fun () -> Bcc_kern.Enum.count_above stats ~threshold)
+      ~equal:Int.equal
+  in
   (* The 64-trials-per-word slicing primitive behind the distinguisher
      loops ([Distinguishers.advantage], [Advantage.protocol_gap]): pack
      each 64-trial slice with [Enum.above_word] and popcount, vs the
      per-trial branch. *)
   let slice_trials = 4096 in
   let slice_stats = Array.init slice_trials (fun _ -> Prng.float g) in
-  add
-    (kern_case ~reps ~group:"adv-slice"
-       ~case:(Printf.sprintf "trials=%d" slice_trials)
-       ~naive:(fun () -> Bcc_kern.Ref.count_above slice_stats ~threshold)
-       ~kern:(fun () ->
-         let hits = ref 0 in
-         let b = ref 0 in
-         while !b < slice_trials do
-           let count = min 64 (slice_trials - !b) in
-           let w =
-             Bcc_kern.Enum.above_word slice_stats ~threshold ~lo:!b ~count
-           in
-           hits := !hits + Bitvec.popcount_word w;
-           b := !b + 64
-         done;
-         !hits)
-       ~equal:Int.equal);
-  let rows = List.rev !rows in
-  let all_agree = List.for_all (fun r -> r.agree) rows in
-  let json =
-    Artifact.List
-      (List.map
-         (fun r ->
-           Artifact.Obj
-             [
-               ("group", Artifact.String r.group);
-               ("case", Artifact.String r.case);
-               ("naive_ns", Artifact.Float r.naive_ns);
-               ("kern_ns", Artifact.Float r.kern_ns);
-               ("speedup", Artifact.Float (r.naive_ns /. r.kern_ns));
-               ("agree", Artifact.Bool r.agree);
-             ])
-         rows)
+  let adv_slice =
+    kern_case ~group:"adv-slice"
+      ~case:(Printf.sprintf "trials=%d" slice_trials)
+      ~naive:(fun () -> Kern_ref.count_above slice_stats ~threshold)
+      ~kern:(fun () ->
+        let hits = ref 0 in
+        let b = ref 0 in
+        while !b < slice_trials do
+          let count = min 64 (slice_trials - !b) in
+          let w =
+            Bcc_kern.Enum.above_word slice_stats ~threshold ~lo:!b ~count
+          in
+          hits := !hits + Bitvec.popcount_word w;
+          b := !b + 64
+        done;
+        !hits)
+      ~equal:Int.equal
   in
-  Artifact.write_file
-    ~path:(Filename.concat Artifact.default_dir "BENCH_kern.json")
-    (Artifact.make ~kind:"bench" ~id:"kern"
-       ~params:
-         [
-           ("repetitions", Artifact.Int reps);
-           ("quick", Artifact.Bool quick);
-         ]
-       json);
-  Format.printf "@.artifact written to %s/BENCH_kern.json@." Artifact.default_dir;
-  if not all_agree then
-    Format.printf "KERNEL/ORACLE MISMATCH — see the rows marked MISMATCH@.";
-  Format.printf "@.";
-  (json, all_agree)
+  List.concat [ rank; mul; enum; wht; fourier; [ count_above; adv_slice ] ]
 
-(* ------------------------------------------------- graph kernels *)
-
-(* Packed graph kernels (Bcc_kern.Graph) vs the allocating Ref oracles
-   they replaced: the A land A^T core, triangle/K4 counting, and the
-   scratch-stack Bron-Kerbosch.  Same in-run agreement contract as
-   [run_kern]: any mismatch exits nonzero. *)
-let run_graph ~quick () =
-  Format.printf "=====================================================@.";
-  Format.printf " Graph kernel sweep (Bcc_kern.Graph vs naive Ref oracles)@.";
-  Format.printf "=====================================================@.";
-  let reps = if quick then 3 else 5 in
+(* Part 5: the packed graph kernels (Bcc_kern.Graph) vs the allocating
+   Kern_ref oracles they replaced — the A land A^T core, triangle/K4
+   counting, and the scratch-stack Bron-Kerbosch. *)
+let graph_cases ~quick =
   let g = Prng.create 2026 in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  Format.printf "%-16s %-16s %14s %14s %10s@." "group" "case" "naive ns"
-    "kernel ns" "speedup";
-  Format.printf "%s@." (String.make 76 '-');
   let sizes = if quick then [ 128; 256 ] else [ 128; 256; 512 ] in
-  List.iter
-    (fun n ->
-      let graph = Planted.sample_rand g n in
-      let adj_rows = Digraph.unsafe_rows graph in
-      add
-        (kern_case ~reps ~group:"graph-core"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> Bcc_kern.Ref.bidirectional_core adj_rows)
-           ~kern:(fun () -> Bcc_kern.Graph.bidirectional_core adj_rows)
-           ~equal:(fun a b ->
-             Array.length a = Array.length b && Array.for_all2 Bitvec.equal a b));
-      (* The core of A_rand is G(n, 1/4) — the e17 counting regime. *)
-      let core = Clique.bidirectional_core graph in
-      add
-        (kern_case ~reps ~group:"graph-tri"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> Bcc_kern.Ref.count_triangles core)
-           ~kern:(fun () -> Bcc_kern.Graph.count_triangles core)
-           ~equal:Int.equal);
-      add
-        (kern_case ~reps ~group:"graph-k4"
-           ~case:(Printf.sprintf "n=%d" n)
-           ~naive:(fun () -> Bcc_kern.Ref.count_k4 core)
-           ~kern:(fun () -> Bcc_kern.Graph.count_k4 core)
-           ~equal:Int.equal))
-    sizes;
+  let counts =
+    List.concat_map
+      (fun n ->
+        let graph = Planted.sample_rand g n in
+        let adj_rows = Digraph.unsafe_rows graph in
+        (* The core of A_rand is G(n, 1/4) — the e17 counting regime. *)
+        let core = Clique.bidirectional_core graph in
+        let case = Printf.sprintf "n=%d" n in
+        [
+          kern_case ~group:"graph-core" ~case
+            ~naive:(fun () -> Kern_ref.bidirectional_core adj_rows)
+            ~kern:(fun () -> Bcc_kern.Graph.bidirectional_core adj_rows)
+            ~equal:(fun a b ->
+              Array.length a = Array.length b
+              && Array.for_all2 Bitvec.equal a b);
+          kern_case ~group:"graph-tri" ~case
+            ~naive:(fun () -> Kern_ref.count_triangles core)
+            ~kern:(fun () -> Bcc_kern.Graph.count_triangles core)
+            ~equal:Int.equal;
+          kern_case ~group:"graph-k4" ~case
+            ~naive:(fun () -> Kern_ref.count_k4 core)
+            ~kern:(fun () -> Bcc_kern.Graph.count_k4 core)
+            ~equal:Int.equal;
+        ])
+      sizes
+  in
   (* Bron-Kerbosch on planted instances (the e12/e19 regime, k ~ 8 sqrt n
      so the planted clique dominates the core's natural cliques). *)
-  List.iter
-    (fun (n, k) ->
-      let graph, _ = Planted.sample_planted g ~n ~k in
-      let core = Clique.bidirectional_core graph in
-      let everyone = Bitvec.ones n in
-      add
-        (kern_case ~reps ~group:"graph-maxclique"
-           ~case:(Printf.sprintf "n=%d,k=%d" n k)
-           ~naive:(fun () -> Bcc_kern.Ref.max_clique core everyone)
-           ~kern:(fun () -> Bcc_kern.Graph.max_clique core everyone)
-           ~equal:(List.equal Int.equal)))
-    (if quick then [ (128, 24); (256, 40) ] else [ (128, 24); (256, 40); (512, 64) ]);
-  let rows = List.rev !rows in
-  let all_agree = List.for_all (fun r -> r.agree) rows in
-  let json =
-    Artifact.List
-      (List.map
-         (fun r ->
-           Artifact.Obj
-             [
-               ("group", Artifact.String r.group);
-               ("case", Artifact.String r.case);
-               ("naive_ns", Artifact.Float r.naive_ns);
-               ("kern_ns", Artifact.Float r.kern_ns);
-               ("speedup", Artifact.Float (r.naive_ns /. r.kern_ns));
-               ("agree", Artifact.Bool r.agree);
-             ])
-         rows)
+  let cliques =
+    List.map
+      (fun (n, k) ->
+        let graph, _ = Planted.sample_planted g ~n ~k in
+        let core = Clique.bidirectional_core graph in
+        let everyone = Bitvec.ones n in
+        kern_case ~group:"graph-maxclique"
+          ~case:(Printf.sprintf "n=%d,k=%d" n k)
+          ~naive:(fun () -> Kern_ref.max_clique core everyone)
+          ~kern:(fun () -> Bcc_kern.Graph.max_clique core everyone)
+          ~equal:(List.equal Int.equal))
+      (if quick then [ (128, 24); (256, 40) ]
+       else [ (128, 24); (256, 40); (512, 64) ])
   in
-  Artifact.write_file
-    ~path:(Filename.concat Artifact.default_dir "BENCH_graph.json")
-    (Artifact.make ~kind:"bench" ~id:"graph"
-       ~params:
-         [
-           ("repetitions", Artifact.Int reps);
-           ("quick", Artifact.Bool quick);
-         ]
-       json);
-  Format.printf "@.artifact written to %s/BENCH_graph.json@." Artifact.default_dir;
-  if not all_agree then
-    Format.printf "KERNEL/ORACLE MISMATCH — see the rows marked MISMATCH@.";
-  Format.printf "@.";
-  (json, all_agree)
-
-(* ------------------------------------------------- sparse kernels *)
+  counts @ cliques
 
 (* CSR structural equality, for the cross-representation oracles. *)
 let spgraph_equal (a : Bcc_kern.Spgraph.t) (b : Bcc_kern.Spgraph.t) =
@@ -826,93 +794,47 @@ let spgraph_matches_rows rows (t : Bcc_kern.Spgraph.t) =
        !ok
      end
 
-(* Sparse CSR kernels vs the dense pipeline on the same graph — the
-   cross-representation oracle: every row pairs a dense measurement with
-   its sparse twin and checks the results coincide (structurally for the
-   sampler/core rows, exactly for the counts).  The n = 4096, p = 0.01
-   triangle row is the regime the gate pins: CSR merge work scales with
-   the live degrees (~ pn per row) while the dense kernels scan n/64
-   words per edge whatever the density. *)
-let run_sparse ~quick () =
-  Format.printf "=====================================================@.";
-  Format.printf " Sparse kernel sweep (CSR vs dense pipeline oracles)@.";
-  Format.printf "=====================================================@.";
-  let reps = if quick then 3 else 5 in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  Format.printf "%-16s %-16s %14s %14s %10s@." "group" "case" "dense ns"
-    "sparse ns" "speedup";
-  Format.printf "%s@." (String.make 76 '-');
-  let cases = if quick then [ (4096, 0.01) ] else [ (4096, 0.01); (8192, 0.005) ] in
-  List.iter
+(* Part 6: sparse CSR kernels vs the dense pipeline on the same graph —
+   the cross-representation oracle: every row pairs a dense measurement
+   with its sparse twin and checks the results coincide (structurally for
+   the sampler/core rows, exactly for the counts).  The n = 4096,
+   p = 0.01 triangle row is the regime the gate pins: CSR merge work
+   scales with the live degrees (~ pn per row) while the dense kernels
+   scan n/64 words per edge whatever the density. *)
+let sparse_cases ~quick =
+  List.concat_map
     (fun (n, p) ->
       (* Case labels are artifact bytes: name the density as an exact
          reciprocal rather than float-format p. *)
       let case = Printf.sprintf "n=%d,p=1/%d" n (int_of_float (1.0 /. p)) in
       let dg = Gnp.sample_fast (Prng.create 31) ~n ~p in
       let sg = Sparse.sample_gnp (Prng.create 31) ~n ~p in
-      add
-        (kern_case ~reps ~group:"sparse-sample" ~case
-           ~naive:(fun () -> Gnp.sample_fast (Prng.create 31) ~n ~p)
-           ~kern:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
-           ~equal:(fun d s -> spgraph_equal (Sparse.of_digraph d) s));
       let dcore = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg) in
       let score = Bcc_kern.Spgraph.bidirectional_core sg in
-      add
-        (kern_case ~reps ~group:"sparse-core" ~case
-           ~naive:(fun () ->
-             Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg))
-           ~kern:(fun () -> Bcc_kern.Spgraph.bidirectional_core sg)
-           ~equal:(fun d s -> spgraph_matches_rows d s));
-      add
-        (kern_case ~reps ~group:"sparse-tri" ~case
-           ~naive:(fun () -> Bcc_kern.Graph.count_triangles dcore)
-           ~kern:(fun () -> Bcc_kern.Spgraph.count_triangles score)
-           ~equal:Int.equal);
-      add
-        (kern_case ~reps ~group:"sparse-k4" ~case
-           ~naive:(fun () -> Bcc_kern.Graph.count_k4 dcore)
-           ~kern:(fun () -> Bcc_kern.Spgraph.count_k4 score)
-           ~equal:Int.equal);
-      add
-        (kern_case ~reps ~group:"sparse-degree" ~case
-           ~naive:(fun () -> Graph_backend.Dense.degree_sums dg)
-           ~kern:(fun () -> Sparse.degree_sums sg)
-           ~equal:(fun (a : int array) b -> a = b)))
-    cases;
-  let rows = List.rev !rows in
-  let all_agree = List.for_all (fun r -> r.agree) rows in
-  let json =
-    Artifact.List
-      (List.map
-         (fun r ->
-           Artifact.Obj
-             [
-               ("group", Artifact.String r.group);
-               ("case", Artifact.String r.case);
-               ("naive_ns", Artifact.Float r.naive_ns);
-               ("kern_ns", Artifact.Float r.kern_ns);
-               ("speedup", Artifact.Float (r.naive_ns /. r.kern_ns));
-               ("agree", Artifact.Bool r.agree);
-             ])
-         rows)
-  in
-  Artifact.write_file
-    ~path:(Filename.concat Artifact.default_dir "BENCH_sparse.json")
-    (Artifact.make ~kind:"bench" ~id:"sparse"
-       ~params:
-         [
-           ("repetitions", Artifact.Int reps);
-           ("quick", Artifact.Bool quick);
-         ]
-       json);
-  Format.printf "@.artifact written to %s/BENCH_sparse.json@." Artifact.default_dir;
-  if not all_agree then
-    Format.printf "DENSE/SPARSE MISMATCH — see the rows marked MISMATCH@.";
-  Format.printf "@.";
-  (json, all_agree)
-
-(* ------------------------------------------------- batched-draw sweep *)
+      [
+        kern_case ~group:"sparse-sample" ~case
+          ~naive:(fun () -> Gnp.sample_fast (Prng.create 31) ~n ~p)
+          ~kern:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
+          ~equal:(fun d s -> spgraph_equal (Sparse.of_digraph d) s);
+        kern_case ~group:"sparse-core" ~case
+          ~naive:(fun () ->
+            Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg))
+          ~kern:(fun () -> Bcc_kern.Spgraph.bidirectional_core sg)
+          ~equal:(fun d s -> spgraph_matches_rows d s);
+        kern_case ~group:"sparse-tri" ~case
+          ~naive:(fun () -> Bcc_kern.Graph.count_triangles dcore)
+          ~kern:(fun () -> Bcc_kern.Spgraph.count_triangles score)
+          ~equal:Int.equal;
+        kern_case ~group:"sparse-k4" ~case
+          ~naive:(fun () -> Bcc_kern.Graph.count_k4 dcore)
+          ~kern:(fun () -> Bcc_kern.Spgraph.count_k4 score)
+          ~equal:Int.equal;
+        kern_case ~group:"sparse-degree" ~case
+          ~naive:(fun () -> Graph_backend.Dense.degree_sums dg)
+          ~kern:(fun () -> Sparse.degree_sums sg)
+          ~equal:(fun (a : int array) b -> a = b);
+      ])
+    (if quick then [ (4096, 0.01) ] else [ (4096, 0.01); (8192, 0.005) ])
 
 (* Part 6b: the batched PRNG engine (Prng.Block) against the scalar draw
    loops it replaces, plus the block/sharded G(n,p) samplers against the
@@ -924,144 +846,152 @@ let run_sparse ~quick () =
    class of hardware: fills are memory-streaming (2-4x over scalar),
    whole-sampler rows include CSR construction and land lower — see
    docs/PERFORMANCE.md "Batched draws". *)
-let run_prng ~quick () =
-  Format.printf "=====================================================@.";
-  Format.printf " Batched PRNG sweep (Prng.Block vs scalar draws)@.";
-  Format.printf "=====================================================@.";
-  let reps = if quick then 3 else 5 in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  Format.printf "%-16s %-16s %14s %14s %10s@." "group" "case" "scalar ns"
-    "block ns" "speedup";
-  Format.printf "%s@." (String.make 76 '-');
+(* Elementwise equality of two same-length Bigarray buffers. *)
+let buffer_equal eq a b =
+  let ok = ref true in
+  for i = 0 to Bigarray.Array1.dim a - 1 do
+    if not (eq a.{i} b.{i}) then ok := false
+  done;
+  !ok
+
+let prng_cases ~quick =
   let len = if quick then 1 lsl 16 else 1 lsl 20 in
   let case_len = Printf.sprintf "len=%d" len in
   (* Two destination buffers per row — the scalar and block closures must
      not alias or the equality oracle compares a buffer with itself. *)
   let i64_a = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout len in
   let i64_b = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout len in
-  add
-    (kern_case ~reps ~group:"prng-fill64" ~case:case_len
-       ~naive:(fun () ->
-         let g = Prng.create 71 in
-         for i = 0 to len - 1 do
-           i64_a.{i} <- Prng.bits64 g
-         done;
-         i64_a)
-       ~kern:(fun () ->
-         let g = Prng.create 71 in
-         Prng.Block.fill_bits64 g i64_b ~pos:0 ~len;
-         i64_b)
-       ~equal:(fun a b ->
-         let ok = ref true in
-         for i = 0 to len - 1 do
-           if not (Int64.equal a.{i} b.{i}) then ok := false
-         done;
-         !ok));
+  let fill64 =
+    kern_case ~group:"prng-fill64" ~case:case_len
+      ~naive:(fun () ->
+        let g = Prng.create 71 in
+        for i = 0 to len - 1 do
+          i64_a.{i} <- Prng.bits64 g
+        done;
+        i64_a)
+      ~kern:(fun () ->
+        let g = Prng.create 71 in
+        Prng.Block.fill_bits64 g i64_b ~pos:0 ~len;
+        i64_b)
+      ~equal:(buffer_equal Int64.equal)
+  in
   let f64_a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
   let f64_b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  add
-    (kern_case ~reps ~group:"prng-fillf" ~case:case_len
-       ~naive:(fun () ->
-         let g = Prng.create 72 in
-         for i = 0 to len - 1 do
-           f64_a.{i} <- Prng.float g
-         done;
-         f64_a)
-       ~kern:(fun () ->
-         let g = Prng.create 72 in
-         Prng.Block.fill_float g f64_b ~pos:0 ~len;
-         f64_b)
-       ~equal:(fun a b ->
-         let ok = ref true in
-         for i = 0 to len - 1 do
-           if not (Float.equal a.{i} b.{i}) then ok := false
-         done;
-         !ok));
+  let fillf =
+    kern_case ~group:"prng-fillf" ~case:case_len
+      ~naive:(fun () ->
+        let g = Prng.create 72 in
+        for i = 0 to len - 1 do
+          f64_a.{i} <- Prng.float g
+        done;
+        f64_a)
+      ~kern:(fun () ->
+        let g = Prng.create 72 in
+        Prng.Block.fill_float g f64_b ~pos:0 ~len;
+        f64_b)
+      ~equal:(buffer_equal Float.equal)
+  in
   let geo_p = 0.01 in
   let log1mp = Float.log (1.0 -. geo_p) in
   let cap = float_of_int (1 lsl 30) in
   let int_a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
   let int_b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  add
-    (kern_case ~reps ~group:"prng-geom" ~case:(case_len ^ ",p=1/100")
-       ~naive:(fun () ->
-         let g = Prng.create 73 in
-         for i = 0 to len - 1 do
-           let u = Prng.float g in
-           let skip = Float.log (1.0 -. u) /. log1mp in
-           int_a.{i} <- int_of_float (Float.min skip cap)
-         done;
-         int_a)
-       ~kern:(fun () ->
-         let g = Prng.create 73 in
-         Prng.Block.fill_geometric g ~log1mp ~cap int_b ~pos:0 ~len;
-         int_b)
-       ~equal:(fun a b ->
-         let ok = ref true in
-         for i = 0 to len - 1 do
-           if a.{i} <> b.{i} then ok := false
-         done;
-         !ok));
+  let geom =
+    kern_case ~group:"prng-geom" ~case:(case_len ^ ",p=1/100")
+      ~naive:(fun () ->
+        let g = Prng.create 73 in
+        for i = 0 to len - 1 do
+          let u = Prng.float g in
+          let skip = Float.log (1.0 -. u) /. log1mp in
+          int_a.{i} <- int_of_float (Float.min skip cap)
+        done;
+        int_a)
+      ~kern:(fun () ->
+        let g = Prng.create 73 in
+        Prng.Block.fill_geometric g ~log1mp ~cap int_b ~pos:0 ~len;
+        int_b)
+      ~equal:(buffer_equal Int.equal)
+  in
   (* Whole-sampler rows.  Block vs scalar is an exact oracle (identical
      stream, identical graph); sharded reads its own documented stream so
      the oracle is the 6-sigma edge-count envelope. *)
-  let cases =
-    if quick then [ (4096, 0.01) ] else [ (4096, 0.01); (16384, 0.005) ]
+  let samplers =
+    List.concat_map
+      (fun (n, p) ->
+        let case = Printf.sprintf "n=%d,p=1/%d" n (int_of_float (1.0 /. p)) in
+        let pairs = float_of_int n *. float_of_int (n - 1) /. 2.0 in
+        let mean = pairs *. p in
+        let sigma = Float.sqrt (pairs *. p *. (1.0 -. p)) in
+        let in_envelope (g : Bcc_kern.Spgraph.t) =
+          (* [edge_count] is directed (2m). *)
+          let m = float_of_int (Sparse.edge_count g / 2) in
+          Float.abs (m -. mean) <= 6.0 *. sigma
+        in
+        [
+          kern_case ~group:"prng-sample" ~case
+            ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
+            ~kern:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
+            ~equal:spgraph_equal;
+          kern_case ~group:"prng-sharded" ~case
+            ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
+            ~kern:(fun () -> Sparse.sample_gnp_sharded (Prng.create 31) ~n ~p)
+            ~equal:(fun a b -> in_envelope a && in_envelope b);
+        ])
+      (if quick then [ (4096, 0.01) ] else [ (4096, 0.01); (16384, 0.005) ])
   in
-  List.iter
-    (fun (n, p) ->
-      let case = Printf.sprintf "n=%d,p=1/%d" n (int_of_float (1.0 /. p)) in
-      add
-        (kern_case ~reps ~group:"prng-sample" ~case
-           ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
-           ~kern:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
-           ~equal:spgraph_equal);
-      let pairs = float_of_int n *. float_of_int (n - 1) /. 2.0 in
-      let mean = pairs *. p in
-      let sigma = Float.sqrt (pairs *. p *. (1.0 -. p)) in
-      let in_envelope (g : Bcc_kern.Spgraph.t) =
-        (* [edge_count] is directed (2m). *)
-        let m = float_of_int (Sparse.edge_count g / 2) in
-        Float.abs (m -. mean) <= 6.0 *. sigma
-      in
-      add
-        (kern_case ~reps ~group:"prng-sharded" ~case
-           ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
-           ~kern:(fun () -> Sparse.sample_gnp_sharded (Prng.create 31) ~n ~p)
-           ~equal:(fun a b -> in_envelope a && in_envelope b)))
-    cases;
-  let rows = List.rev !rows in
-  let all_agree = List.for_all (fun r -> r.agree) rows in
-  let json =
-    Artifact.List
-      (List.map
-         (fun r ->
-           Artifact.Obj
-             [
-               ("group", Artifact.String r.group);
-               ("case", Artifact.String r.case);
-               ("naive_ns", Artifact.Float r.naive_ns);
-               ("kern_ns", Artifact.Float r.kern_ns);
-               ("speedup", Artifact.Float (r.naive_ns /. r.kern_ns));
-               ("agree", Artifact.Bool r.agree);
-             ])
-         rows)
-  in
-  Artifact.write_file
-    ~path:(Filename.concat Artifact.default_dir "BENCH_prng.json")
-    (Artifact.make ~kind:"bench" ~id:"prng"
-       ~params:
-         [
-           ("repetitions", Artifact.Int reps);
-           ("quick", Artifact.Bool quick);
-         ]
-       json);
-  Format.printf "@.artifact written to %s/BENCH_prng.json@." Artifact.default_dir;
-  if not all_agree then
-    Format.printf "SCALAR/BLOCK MISMATCH — see the rows marked MISMATCH@.";
-  Format.printf "@.";
-  (json, all_agree)
+  [ fill64; fillf; geom ] @ samplers
+
+(* The sweep table, in run order: the bench subcommands, the BENCH.json
+   sections and the compare gate all iterate it. *)
+let sweeps =
+  [
+    {
+      id = "kern";
+      title = "Kernel sweep (Bcc_kern vs naive Kern_ref oracles)";
+      columns = ("naive ns", "kernel ns");
+      mismatch = "KERNEL/ORACLE";
+      (* Best-of-5 even in quick mode: single-core VM timing is noisy
+         enough that best-of-3 ratios swing ~2x run to run, which is what
+         the compare gate's tolerance has to absorb. *)
+      quick_reps = 5;
+      full_reps = 7;
+      cases = kern_cases;
+    };
+    {
+      id = "graph";
+      title = "Graph kernel sweep (Bcc_kern.Graph vs naive Kern_ref oracles)";
+      columns = ("naive ns", "kernel ns");
+      mismatch = "KERNEL/ORACLE";
+      quick_reps = 3;
+      full_reps = 5;
+      cases = graph_cases;
+    };
+    {
+      id = "sparse";
+      title = "Sparse kernel sweep (CSR vs dense pipeline oracles)";
+      columns = ("dense ns", "sparse ns");
+      mismatch = "DENSE/SPARSE";
+      quick_reps = 3;
+      full_reps = 5;
+      cases = sparse_cases;
+    };
+    {
+      id = "prng";
+      title = "Batched PRNG sweep (Prng.Block vs scalar draws)";
+      columns = ("scalar ns", "block ns");
+      mismatch = "SCALAR/BLOCK";
+      quick_reps = 3;
+      full_reps = 5;
+      cases = prng_cases;
+    };
+  ]
+
+(* Runs [sweeps] in order: one (id, rows) BENCH.json section per sweep,
+   and whether every row agreed with its oracle. *)
+let run_sweeps ~quick sweeps =
+  let results = List.map (fun s -> (s.id, run_sweep ~quick s)) sweeps in
+  ( List.map (fun (id, (json, _)) -> (id, json)) results,
+    List.for_all (fun (_, (_, agree)) -> agree) results )
 
 (* --------------------------------------------------- regression gate *)
 
@@ -1091,30 +1021,22 @@ let speedup_rows section_json =
         rows
 
 let run_compare ~update () =
-  (* Two independent quick-mode measurements of both kernel families.  The
-     gate pairs the per-kernel extreme that is robust for its side — the
+  (* Two independent quick-mode measurements of every sweep.  The gate
+     pairs the per-kernel extreme that is robust for its side — the
      stored baseline keeps each kernel's *minimum* observed speedup, a
      fresh run is credited its *maximum* — so a single noisy sample can
      neither trip the tolerance nor inflate the baseline, while a real
-     regression (which shifts both samples) still fails. *)
+     regression (which shifts both samples) still fails.  The payload
+     comes from the second pass, whose BENCH_<sweep>.json files are the
+     ones left on disk. *)
   let measure () =
-    let kern_json, kern_ok = run_kern ~quick:true () in
-    let graph_json, graph_ok = run_graph ~quick:true () in
-    let sparse_json, sparse_ok = run_sparse ~quick:true () in
-    let prng_json, prng_ok = run_prng ~quick:true () in
-    ( speedup_rows kern_json @ speedup_rows graph_json
-      @ speedup_rows sparse_json @ speedup_rows prng_json,
-      Artifact.Obj
-        [
-          ("kern", kern_json);
-          ("graph", graph_json);
-          ("sparse", sparse_json);
-          ("prng", prng_json);
-        ],
-      kern_ok && graph_ok && sparse_ok && prng_ok )
+    let sections, agree = run_sweeps ~quick:true sweeps in
+    ( List.concat_map (fun (_, json) -> speedup_rows json) sections,
+      Artifact.Obj sections,
+      agree )
   in
-  let s1, fresh_payload, ok1 = measure () in
-  let s2, _, ok2 = measure () in
+  let s1, _, ok1 = measure () in
+  let s2, fresh_payload, ok2 = measure () in
   let agree_ok = ok1 && ok2 in
   let combine f =
     List.map
@@ -1274,47 +1196,28 @@ let () =
   let sections = ref [] in
   let add name payload = sections := (name, payload) :: !sections in
   let ok = ref true in
+  let add_sweeps selected =
+    let payloads, agree = run_sweeps ~quick selected in
+    List.iter (fun (id, payload) -> add id payload) payloads;
+    ok := agree
+  in
   (match what with
   | "tables" -> add "tables" (run_tables ())
   | "micro" -> add "micro" (run_micro ())
   | "par" -> add "par" (run_par ())
-  | "kern" ->
-      let payload, agree = run_kern ~quick () in
-      add "kern" payload;
-      ok := agree
-  | "graph" ->
-      let payload, agree = run_graph ~quick () in
-      add "graph" payload;
-      ok := agree
-  | "sparse" ->
-      let payload, agree = run_sparse ~quick () in
-      add "sparse" payload;
-      ok := agree
-  | "prng" ->
-      let payload, agree = run_prng ~quick () in
-      add "prng" payload;
-      ok := agree
   | "compare" ->
       let update = Array.exists (String.equal "--update") Sys.argv in
       let payload, pass = run_compare ~update () in
       add "compare" payload;
       ok := pass
-  | _ ->
-      add "tables" (run_tables ());
-      add "micro" (run_micro ());
-      add "par" (run_par ());
-      let payload, agree = run_kern ~quick () in
-      add "kern" payload;
-      ok := agree;
-      let payload, agree = run_graph ~quick () in
-      add "graph" payload;
-      ok := !ok && agree;
-      let payload, agree = run_sparse ~quick () in
-      add "sparse" payload;
-      ok := !ok && agree;
-      let payload, agree = run_prng ~quick () in
-      add "prng" payload;
-      ok := !ok && agree);
+  | _ -> (
+      match List.find_opt (fun s -> String.equal s.id what) sweeps with
+      | Some s -> add_sweeps [ s ]
+      | None ->
+          add "tables" (run_tables ());
+          add "micro" (run_micro ());
+          add "par" (run_par ());
+          add_sweeps sweeps));
   (* One stable envelope over whatever ran, for cross-commit tracking. *)
   Artifact.write_file
     ~path:(Filename.concat Artifact.default_dir "BENCH.json")

@@ -23,7 +23,6 @@ type t
 val create : params -> t
 (** The sketch of the zero vector. *)
 
-val params_of : t -> params
 val levels : params -> int
 (** [ceil(log2 universe) + 2] subsampling levels. *)
 

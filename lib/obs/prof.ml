@@ -34,9 +34,8 @@ type counter =
   | Word_ops
   | Cache_hits
   | Cache_misses
-  | Cache_verify_fails
 
-let n_counters = 6
+let n_counters = 5
 
 let counter_index = function
   | Prng_bits -> 0
@@ -44,7 +43,6 @@ let counter_index = function
   | Word_ops -> 2
   | Cache_hits -> 3
   | Cache_misses -> 4
-  | Cache_verify_fails -> 5
 
 let counter_name = function
   | Prng_bits -> "prng_bits"
@@ -52,14 +50,13 @@ let counter_name = function
   | Word_ops -> "word_ops"
   | Cache_hits -> "cache_hits"
   | Cache_misses -> "cache_misses"
-  | Cache_verify_fails -> "cache_verify_fails"
 
 let deterministic_counter = function
   | Prng_bits | Broadcast_bits | Word_ops -> true
-  | Cache_hits | Cache_misses | Cache_verify_fails -> false
+  | Cache_hits | Cache_misses -> false
 
 let all_counters =
-  [ Prng_bits; Broadcast_bits; Word_ops; Cache_hits; Cache_misses; Cache_verify_fails ]
+  [ Prng_bits; Broadcast_bits; Word_ops; Cache_hits; Cache_misses ]
 
 let det_counter_names =
   List.filter_map

@@ -69,9 +69,8 @@ type counter =
   | Word_ops  (** packed-word volume of a [Bcc_kern] kernel call *)
   | Cache_hits
   | Cache_misses
-  | Cache_verify_fails
-      (** structural caches: key matched but no entry was structurally
-          equal (a hash collision absorbed by verification) *)
+      (** [Bcast.Board.common] lookups served from / added to the board's
+          per-run memo *)
 
 val counter_name : counter -> string
 

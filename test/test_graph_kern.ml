@@ -28,7 +28,7 @@ let test_popcount_and2_vs_materialized () =
         let a = random_bitvec g n and b = random_bitvec g n in
         check_int
           (Printf.sprintf "and2 n=%d" n)
-          (Bcc_kern.Ref.popcount_and2 a b)
+          (Kern_ref.popcount_and2 a b)
           (Bitvec.popcount_and2 a b)
       done)
     boundary_sizes
@@ -43,7 +43,7 @@ let test_popcount_and3_vs_materialized () =
         and c = random_bitvec g n in
         check_int
           (Printf.sprintf "and3 n=%d" n)
-          (Bcc_kern.Ref.popcount_and3 a b c)
+          (Kern_ref.popcount_and3 a b c)
           (Bitvec.popcount_and3 a b c)
       done)
     boundary_sizes
@@ -57,7 +57,7 @@ let test_popcount_and2_above_vs_masked () =
       for above = 0 to n - 1 do
         check_int
           (Printf.sprintf "above n=%d j=%d" n above)
-          (Bcc_kern.Ref.popcount_and2_above a b ~above)
+          (Kern_ref.popcount_and2_above a b ~above)
           (Bitvec.popcount_and2_above a b ~above)
       done)
     boundary_sizes
@@ -105,7 +105,7 @@ let test_unsafe_set_bit_matches_set () =
 let core_pair g n =
   let graph = Planted.sample_rand g n in
   let rows = Digraph.unsafe_rows graph in
-  (Bcc_kern.Graph.bidirectional_core rows, Bcc_kern.Ref.bidirectional_core rows)
+  (Bcc_kern.Graph.bidirectional_core rows, Kern_ref.bidirectional_core rows)
 
 let test_bidirectional_core_vs_ref () =
   let g = Prng.create 201 in
@@ -141,11 +141,11 @@ let test_counts_vs_ref () =
       let kern, oracle = core_pair g n in
       check_int
         (Printf.sprintf "triangles n=%d" n)
-        (Bcc_kern.Ref.count_triangles oracle)
+        (Kern_ref.count_triangles oracle)
         (Bcc_kern.Graph.count_triangles kern);
       check_int
         (Printf.sprintf "k4 n=%d" n)
-        (Bcc_kern.Ref.count_k4 oracle)
+        (Kern_ref.count_k4 oracle)
         (Bcc_kern.Graph.count_k4 kern))
     boundary_sizes
 
@@ -176,7 +176,7 @@ let test_max_clique_vs_ref_random () =
         true
         (List.equal Int.equal
            (Bcc_kern.Graph.max_clique kern everyone)
-           (Bcc_kern.Ref.max_clique oracle everyone)))
+           (Kern_ref.max_clique oracle everyone)))
     boundary_sizes
 
 let test_max_clique_vs_ref_planted () =
@@ -190,7 +190,7 @@ let test_max_clique_vs_ref_planted () =
       check_bool
         (Printf.sprintf "planted n=%d k=%d" n k)
         true
-        (List.equal Int.equal got (Bcc_kern.Ref.max_clique core everyone));
+        (List.equal Int.equal got (Kern_ref.max_clique core everyone));
       (* With k well above the ~2 log_2 n natural clique size, the planted
          clique is the maximum. *)
       if k >= 20 then
@@ -215,7 +215,7 @@ let test_max_clique_of_subset_vs_ref () =
       true
       (List.equal Int.equal
          (Clique.max_clique_of_subset graph vs)
-         (Bcc_kern.Ref.max_clique restricted mask))
+         (Kern_ref.max_clique restricted mask))
   done
 
 (* ------------------------------------------------------------- samplers *)

@@ -1,5 +1,5 @@
 (* Property tests for the packed bit-sliced kernels (Bcc_kern): every
-   kernel against its naive Ref oracle, plus the determinism contract for
+   kernel against its naive Kern_ref oracle, plus the determinism contract for
    the domain-parallel WHT path and the experiment artifacts. *)
 
 let check_bool = Alcotest.(check bool)
@@ -19,10 +19,10 @@ let test_popcount_lut_vs_swar () =
   let g = Prng.create 11 in
   for _ = 1 to 2000 do
     let w = Prng.bits64 g in
-    check_int "word" (Bcc_kern.Ref.popcount_swar w) (Bitvec.popcount_word w)
+    check_int "word" (Kern_ref.popcount_swar w) (Bitvec.popcount_word w)
   done;
   List.iter
-    (fun w -> check_int "edge" (Bcc_kern.Ref.popcount_swar w) (Bitvec.popcount_word w))
+    (fun w -> check_int "edge" (Kern_ref.popcount_swar w) (Bitvec.popcount_word w))
     [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x8000000000000001L ]
 
 let test_popcount_int () =
@@ -63,7 +63,7 @@ let test_transpose_vs_ref () =
       let m = random_matrix g ~rows ~cols in
       let t = Gf2_matrix.transpose m in
       let expect =
-        Bcc_kern.Ref.transpose_rows (Array.init rows (Gf2_matrix.row m)) ~cols
+        Kern_ref.transpose_rows (Array.init rows (Gf2_matrix.row m)) ~cols
       in
       check_bool
         (Printf.sprintf "transpose %dx%d" rows cols)
@@ -80,8 +80,8 @@ let ranks_agree name m =
         Array.init (Gf2_matrix.cols m) (fun j -> Gf2_matrix.get m i j))
   in
   let kern = Gf2_matrix.rank m in
-  check_int (name ^ " vs gauss-jordan") (Bcc_kern.Ref.rank_rows rows) kern;
-  check_int (name ^ " vs scalar") (Bcc_kern.Ref.rank_bools bools) kern;
+  check_int (name ^ " vs gauss-jordan") (Kern_ref.rank_rows rows) kern;
+  check_int (name ^ " vs scalar") (Kern_ref.rank_bools bools) kern;
   kern
 
 let test_rank_random () =
@@ -119,7 +119,7 @@ let test_mul_vs_ref () =
       let a = random_matrix g ~rows:r ~cols:k in
       let b = random_matrix g ~rows:k ~cols:c in
       let expect =
-        Bcc_kern.Ref.mul_rows
+        Kern_ref.mul_rows
           (Array.init r (Gf2_matrix.row a))
           (Array.init k (Gf2_matrix.row b))
           ~cols:c
@@ -163,7 +163,7 @@ let test_enum_counts_vs_per_input () =
       let eval = Boolfun.eval_int f in
       check_int
         (Printf.sprintf "count n=%d" n)
-        (Bcc_kern.Ref.count_true ~n eval)
+        (Kern_ref.count_true ~n eval)
         (Bcc_kern.Enum.count t);
       for x = 0 to (1 lsl n) - 1 do
         check_bool "get" (eval x) (Bcc_kern.Enum.get t x)
@@ -171,7 +171,7 @@ let test_enum_counts_vs_per_input () =
       for i = 0 to n - 1 do
         check_int
           (Printf.sprintf "flips n=%d i=%d" n i)
-          (Bcc_kern.Ref.count_flips ~n ~i eval)
+          (Kern_ref.count_flips ~n ~i eval)
           (Bcc_kern.Enum.count_flips t ~i)
       done;
       List.iter
@@ -179,7 +179,7 @@ let test_enum_counts_vs_per_input () =
           let mask = mask land ((1 lsl n) - 1) in
           check_int
             (Printf.sprintf "forced n=%d mask=%d" n mask)
-            (Bcc_kern.Ref.count_forced_ones ~n ~mask eval)
+            (Kern_ref.count_forced_ones ~n ~mask eval)
             (Bcc_kern.Enum.count_forced_ones t ~mask))
         [ 0; 1; 0x21; 0x41; 0x181; 0x2a5; (1 lsl n) - 1 ])
     [ 1; 3; 6; 7; 9; 11 ]
@@ -204,7 +204,7 @@ let test_count_above_strict () =
   List.iter
     (fun threshold ->
       check_int "vs scalar"
-        (Bcc_kern.Ref.count_above stats ~threshold)
+        (Kern_ref.count_above stats ~threshold)
         (Bcc_kern.Enum.count_above stats ~threshold))
     [ -1.0; 0.0; 0.25; 0.5; 0.999; 1.0 ];
   (* Strictly above: a value equal to the threshold is not a hit. *)
@@ -222,9 +222,9 @@ let test_wht_blocked_vs_naive () =
     let blocked = Array.copy a in
     Fourier.wht_inplace blocked;
     let butterfly = Array.copy a in
-    Bcc_kern.Ref.wht_butterfly butterfly;
+    Kern_ref.wht_butterfly butterfly;
     check_bool (Printf.sprintf "vs butterfly n=%d" n) true (blocked = butterfly);
-    check_bool (Printf.sprintf "vs direct n=%d" n) true (blocked = Bcc_kern.Ref.wht a)
+    check_bool (Printf.sprintf "vs direct n=%d" n) true (blocked = Kern_ref.wht a)
   done
 
 let test_wht_int_matches_float () =
@@ -262,7 +262,7 @@ let test_wht_parallel_identical () =
   in
   check_bool "1 vs 4 domains" true (seq = par);
   let butterfly = Array.copy base in
-  Bcc_kern.Ref.wht_butterfly butterfly;
+  Kern_ref.wht_butterfly butterfly;
   check_bool "vs butterfly" true (seq = butterfly)
 
 let test_fourier_transform_exact () =
@@ -274,7 +274,7 @@ let test_fourier_transform_exact () =
       let f = Boolfun.random g n in
       let old_path =
         let a = Fourier.real_table f in
-        Bcc_kern.Ref.wht_butterfly a;
+        Kern_ref.wht_butterfly a;
         let scale = 1.0 /. float_of_int (Array.length a) in
         Array.map (fun v -> v *. scale) a
       in
@@ -416,7 +416,7 @@ let test_mul_wide_vs_ref () =
     and c = Gf2_matrix.cols b in
     let ra = Array.init r (Gf2_matrix.row a) in
     let rb = Array.init k (Gf2_matrix.row b) in
-    let expect = Bcc_kern.Ref.mul_rows ra rb ~cols:c in
+    let expect = Kern_ref.mul_rows ra rb ~cols:c in
     (* mul_wide unconditionally — all these shapes sit far below the
        mul_wide_min_rows cutover, which is the point: the 16-bit tables
        must agree with the oracle everywhere, not just where mul selects

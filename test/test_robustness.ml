@@ -264,6 +264,25 @@ let test_cli_unwritable_outputs () =
   Sys.remove file;
   Sys.remove err_file
 
+(* Out-of-range numeric options: one line and cmdliner's 124 (a `Msg
+   error), before anything runs — never silently accepted. *)
+let test_cli_rejects_bad_counts () =
+  let err_file = Filename.temp_file "bcc_arg" ".err" in
+  List.iter
+    (fun (args, message) ->
+      let cmd =
+        Printf.sprintf "../bin/bcc_cli.exe %s > /dev/null 2> %s" args
+          (Filename.quote err_file)
+      in
+      Alcotest.(check int) args 124 (Sys.command cmd);
+      let err = String.trim (In_channel.with_open_text err_file In_channel.input_all) in
+      Alcotest.(check string) (args ^ ": message") ("bcc_cli: " ^ message) err)
+    [
+      ("prof --top=-1 e1", "--top must be >= 0");
+      ("metrics --replicas=0 e1", "--replicas must be >= 1");
+    ];
+  Sys.remove err_file
+
 let () =
   Alcotest.run "robustness"
     [
@@ -299,5 +318,6 @@ let () =
         [
           Alcotest.test_case "unwritable paths exit 123" `Quick
             test_cli_unwritable_outputs;
+          Alcotest.test_case "bad counts exit 124" `Quick test_cli_rejects_bad_counts;
         ] );
     ]
